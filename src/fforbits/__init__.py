@@ -9,6 +9,9 @@ scenario language (parser), the built-in identity suite (verify), and the
 command-line driver (cli).
 """
 
+# before the imports below, so that any submodule may import it
+__version__ = "0.1.0"
+
 from .errors import (AlgebraError, BudgetExceeded, DegreeBudgetExceeded,
                      DivisionByZero, MixedVariables, NotAdditive, ParseError,
                      ReducibleModulus, RingMismatch, TauDegreeBudgetExceeded,
@@ -34,7 +37,5 @@ from .parser import (ParseContext, Scenario, parse_curve, parse_expr,
                      parse_map, parse_modulus, parse_scalar, parse_scenario,
                      print_canonical)
 from .verify import CheckResult, run_example, verify_all
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
+from . import __version__ as VERSION
 from .errors import AlgebraError, BudgetExceeded, ParseError, ValidationError
 from .dynpoly import DEFAULT_DEGREE_BUDGET, DynPoly
 from .twisted import DEFAULT_TAU_BUDGET, TwistedPoly
@@ -28,8 +29,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
-
-VERSION = "0.1.0"
 
 
 def _frac(x: Fraction) -> str:

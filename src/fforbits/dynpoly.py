@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
-from .field import FieldSpec, binom_mod
-from .funcfield import (ExtElem, ExtRing, FFPoly, KRing, RatFunc, kx_eval,
-                        kx_gcd, kx_trim)
+from .field import FieldSpec, binom_mod, power
+from .funcfield import (ExtElem, ExtRing, FFPoly, KRing, RatFunc,
+                        format_terms, kx_eval, kx_gcd, kx_trim, sparse_add,
+                        sparse_mul)
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
 DEFAULT_ROOT_HEIGHT = 8
@@ -151,18 +152,7 @@ class DynPoly:
 
     def __add__(self, other: "DynPoly") -> "DynPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return DynPoly(self.ring, out)
+        return DynPoly(self.ring, sparse_add(self.terms, other.terms))
 
     def __neg__(self) -> "DynPoly":
         return DynPoly(self.ring, {e: -c for e, c in self.terms.items()})
@@ -172,22 +162,7 @@ class DynPoly:
 
     def __mul__(self, other: "DynPoly") -> "DynPoly":
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    if c:
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return DynPoly(self.ring, out)
+        return DynPoly(self.ring, sparse_mul(self.terms, other.terms))
 
     def scale(self, c) -> "DynPoly":
         c = _scalar_in(self.ring, c)
@@ -245,12 +220,7 @@ class DynPoly:
         meter = _WorkMeter(budget)
         if self.degree >= 1 and inner.degree >= 1:
             _charge_degree(meter, inner.degree, 1, scale=self.degree)
-        out = DynPoly.zero(self.ring)
-        cache: dict = {}
-        for e, c in self.terms.items():
-            pw = _poly_power(inner, e, meter, cache)
-            out = out + pw.scale(c)
-        return out
+        return _compose_metered(self, inner, meter)
 
     def iterate(self, n: int, budget: Optional[int] = None) -> "DynPoly":
         """The n-fold compositional power, expanded symbolically."""
@@ -282,7 +252,7 @@ class DynPoly:
                               for e, c in self.terms.items()})
 
     def __str__(self) -> str:
-        return _format_terms(self.terms, "x", descending=True)
+        return format_terms(self.terms, "x", descending=True)
 
     def __repr__(self) -> str:
         return f"DynPoly({self})"
@@ -305,6 +275,8 @@ def _mul_metered(a: DynPoly, b: DynPoly, meter: _WorkMeter) -> DynPoly:
 
 
 def _compose_metered(outer: DynPoly, inner: DynPoly, meter: _WorkMeter) -> DynPoly:
+    """outer(inner(x)); the body of compose, and of each step of iterate,
+    which shares one meter across its compositions."""
     out = DynPoly.zero(outer.ring)
     cache: dict = {}
     for e, c in outer.terms.items():
@@ -335,46 +307,22 @@ def _poly_power(g: DynPoly, e: int, meter: _WorkMeter, cache: dict) -> DynPoly:
     elif len(g.terms) == 2:
         out = _binomial_power(g, e, meter)
     else:
-        # g^e = prod_i frob^i(g^(d_i)) over the base-p digits d_i of e:
         # Frobenius images cost no multiplication, so only the digit powers
-        # and one product per further nonzero digit are paid for
-        p = g.spec.p
-        out = None
-        n, i = e, 0
-        while n:
-            n, d = divmod(n, p)
-            if d:
-                piece = _digit_power(g, d, meter, cache)
-                if i:
-                    piece = piece.frobenius(i)
-                out = piece if out is None else _mul_metered(out, piece, meter)
-            i += 1
+        # (kept in the caller's cache) and one product per further nonzero
+        # digit are paid for
+        out = power(g, e, lambda a, b: _mul_metered(a, b, meter),
+                    DynPoly.frobenius, g.spec.p, cache)
     cache[e] = out
     return out
 
 
-def _digit_power(g: DynPoly, d: int, meter: _WorkMeter, cache: dict) -> DynPoly:
-    """g^d for 1 <= d < p by repeated multiplication by g, which keeps one
-    factor of every product small; powers met on the way are cached."""
-    j = d
-    while j > 1 and j not in cache:
-        j -= 1
-    out = cache[j] if j > 1 else g
-    while j < d:
-        out = _mul_metered(out, g, meter)
-        j += 1
-        cache[j] = out
-    return out
+def _binomial_terms(e: int, p: int, meter: _WorkMeter) -> Iterator[tuple]:
+    """(j, C(e, j) mod p) for every j whose base-p digits lie under those
+    of e, which by Lucas are exactly the j with C(e, j) nonzero mod p.
 
-
-def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
-    """(u + v)^e expanded through base-p digits of e; exact in char p.
-
-    The number of surviving terms is the product over digits d of (d+1),
-    so p-power exponents cost two terms no matter how large they are.
+    Their number, the product over the digits d of e of (d + 1), is charged
+    to the meter before the first is yielded.
     """
-    p = g.spec.p
-    (e1, c1), (e2, c2) = sorted(g.terms.items())
     digits = []
     m = e
     count = 1
@@ -386,13 +334,24 @@ def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
         if count > meter.left:
             raise DegreeBudgetExceeded("degree budget exhausted")
     meter.charge(count)
-    out: dict = {}
     for picks in itertools.product(*(range(d + 1) for d in digits)):
         j = 0
         coeff_mod = 1
         for idx in range(len(digits) - 1, -1, -1):
             j = j * p + picks[idx]
             coeff_mod = coeff_mod * binom_mod(digits[idx], picks[idx], p) % p
+        yield j, coeff_mod
+
+
+def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
+    """(u + v)^e expanded through base-p digits of e; exact in char p.
+
+    The number of surviving terms is the product over digits d of (d+1),
+    so p-power exponents cost two terms no matter how large they are.
+    """
+    (e1, c1), (e2, c2) = sorted(g.terms.items())
+    out: dict = {}
+    for j, coeff_mod in _binomial_terms(e, g.spec.p, meter):
         c = (c1 ** j) * (c2 ** (e - j))
         c = c * _scalar_in(g.ring, coeff_mod)
         exp = e1 * j + e2 * (e - j)
@@ -407,25 +366,6 @@ def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
             else:
                 del out[exp]
     return DynPoly(g.ring, out)
-
-
-def _format_terms(terms: dict, var: str, descending: bool) -> str:
-    if not terms:
-        return "0"
-    items = sorted(terms.items(), reverse=descending)
-    parts = []
-    for e, c in items:
-        c_str = str(c)
-        wrap = " + " in c_str or "/" in c_str or "*" in c_str
-        if e == 0:
-            parts.append(f"({c_str})" if wrap else c_str)
-            continue
-        v = var if e == 1 else f"{var}^{e}"
-        if c_str == "1":
-            parts.append(v)
-        else:
-            parts.append((f"({c_str})" if wrap else c_str) + f"*{v}")
-    return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -559,28 +499,9 @@ def conjugate_to_additive(f: DynPoly,
     # to a K value
     bpolys: dict = {}
     for e, c in f.terms.items():
-        digits = []
-        m = e
-        count = 1
-        while m:
-            d = m % p
-            digits.append(d)
-            count *= d + 1
-            m //= p
-            if count > meter.left:
-                raise DegreeBudgetExceeded("degree budget exhausted")
-        meter.charge(count)
-        neg_one = spec.p - 1
-        for picks in itertools.product(*(range(d + 1) for d in digits)):
-            j = 0
-            coeff_mod = 1
-            for idx in range(len(digits) - 1, -1, -1):
-                j = j * p + picks[idx]
-                coeff_mod = coeff_mod * binom_mod(digits[idx], picks[idx], p) % p
-            if coeff_mod == 0:
-                continue
+        for j, coeff_mod in _binomial_terms(e, p, meter):
             if (e - j) & 1:
-                coeff_mod = coeff_mod * neg_one % p
+                coeff_mod = coeff_mod * (p - 1) % p
             val = c * RatFunc.constant(spec, coeff_mod)
             row = bpolys.setdefault(j, {})
             prev = row.get(e - j, zero)

@@ -14,7 +14,8 @@ factor and raise ReducibleModulus carrying the factor found.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence, Union
+import operator
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import DivisionByZero, ParseError, ReducibleModulus, RingMismatch
 
@@ -347,14 +348,10 @@ class FieldElem:
     def __pow__(self, n: int) -> "FieldElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.spec.one()
+        # binary: frobenius() below is itself defined through ** p
+        return power(self, n, operator.mul)
 
     def frobenius(self, k: int = 1) -> "FieldElem":
         """The k-fold Frobenius image, self ** (p ** k)."""
@@ -393,6 +390,54 @@ class FieldElem:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.spec.format()}>"
+
+
+def power(x, n: int, mul: Callable, frobenius: Optional[Callable] = None,
+          p: int = 2, small: Optional[dict] = None):
+    """x ** n for n >= 1, by Horner over the digits of n.
+
+    With frobenius(y, k) = y ** (p ** k), a ring endomorphism in
+    characteristic p, the digits are base p and
+    x^n = frobenius(x^(n // p), 1) * x^(n % p), so a run of k zero digits
+    costs one frobenius(y, k) call and no multiplication.  Without it the
+    digits are binary and each step is a squaring.  small maps d < p to
+    x^d; it is filled by repeated multiplication by x, which keeps one
+    factor of every product small, and a caller may share it.
+    """
+    if frobenius is None:
+        p = 2
+
+        def frobenius(y, k):
+            for _ in range(k):
+                y = mul(y, y)
+            return y
+
+    if small is None:
+        small = {}
+
+    def digit_power(d):
+        j = d
+        while j > 1 and j not in small:
+            j -= 1
+        y = small[j] if j > 1 else x
+        while j < d:
+            y = mul(y, x)
+            j += 1
+            small[j] = y
+        return y
+
+    digits = []
+    while n:
+        n, d = divmod(n, p)
+        digits.append(d)
+    out = digit_power(digits.pop())
+    k = 0
+    for d in reversed(digits):
+        k += 1
+        if d:
+            out = mul(frobenius(out, k), digit_power(d))
+            k = 0
+    return frobenius(out, k) if k else out
 
 
 def binom_mod(m: int, i: int, p: int) -> int:

@@ -7,8 +7,8 @@ and remainders against small divisors are taken term-by-term with modular
 exponentiation of t rather than by long division across the gap.
 
 Rational functions are kept in the canonical reduced form: denominator monic
-and coprime to the numerator.  Two equal values are structurally equal, and
-canonical_key() turns any element into bytes usable as a dict key.
+and coprime to the numerator.  Two equal values are structurally equal, so
+__eq__ and __hash__ are structural and any element can key a dict.
 
 ExtRing models K[y]/(M(y)) for a monic M over K.  The modulus is not checked
 for irreducibility; inverting an element that shares a factor with M raises
@@ -20,12 +20,51 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
+import operator
+
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
-from .field import FieldElem, FieldSpec
+from .field import FieldElem, FieldSpec, power
 
 # long division is fine when the dividend's degree overhangs the divisor by
 # at most this much; beyond it, reduce term-by-term via pow-mod of t
 _GAP_FOR_POWMOD = 64
+
+
+def sparse_add(a: dict, b: dict) -> dict:
+    """Sum of two canonical exponent -> coefficient dicts (no zero values)."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def sparse_mul(a: dict, b: dict) -> dict:
+    """Product of two canonical exponent -> coefficient dicts; a product of
+    nonzero coefficients may vanish in a ring with zero divisors."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            c = c1 * c2
+            s = out.get(e)
+            if s is None:
+                if c:
+                    out[e] = c
+            else:
+                s = s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
 
 
 class FFPoly:
@@ -121,18 +160,7 @@ class FFPoly:
 
     def __add__(self, other: "FFPoly") -> "FFPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return FFPoly(self.spec, out)
+        return FFPoly(self.spec, sparse_add(self.terms, other.terms))
 
     def __neg__(self) -> "FFPoly":
         return FFPoly(self.spec, {e: -c for e, c in self.terms.items()})
@@ -142,22 +170,7 @@ class FFPoly:
 
     def __mul__(self, other: "FFPoly") -> "FFPoly":
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    if c:
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return FFPoly(self.spec, out)
+        return FFPoly(self.spec, sparse_mul(self.terms, other.terms))
 
     def scale(self, c: FieldElem) -> "FFPoly":
         if not c:
@@ -175,21 +188,7 @@ class FFPoly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return FFPoly.one(self.spec)
-        # peel off p-adic part first: a^(p^v * m) = frobenius^v(a) ^ m
-        p = self.spec.p
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        base = self.frobenius(v) if v else self
-        result = None
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, operator.mul, FFPoly.frobenius, self.spec.p)
 
     # -- division -----------------------------------------------------
 
@@ -276,10 +275,12 @@ def _t_power_mod(spec: FieldSpec, e: int, modulus: FFPoly, cache: dict) -> FFPol
     if e < modulus.degree:
         out = FFPoly.monomial(spec, e)
     else:
+        # operands stay below degree 2 * deg(modulus), so long division is
+        # cheap; % would re-enter the term-by-term path for the same e
         half = _t_power_mod(spec, e // 2, modulus, cache)
-        out = (half * half) % modulus
+        out = (half * half).divmod(modulus)[1]
         if e & 1:
-            out = (out * FFPoly.t(spec)) % modulus
+            out = (out * FFPoly.t(spec)).divmod(modulus)[1]
     cache[e] = out
     return out
 
@@ -302,6 +303,27 @@ def format_poly(poly: FFPoly, var: str) -> str:
         else:
             parts.append(f"{c_str}*{v}")
     return " + ".join(parts)
+
+
+def format_terms(terms: dict, var: str, descending: bool) -> str:
+    """exponent -> coefficient as a sum in var; zero coefficients are
+    skipped and a coefficient printing as a sum, product or fraction is
+    parenthesized."""
+    parts = []
+    for e, c in sorted(terms.items(), reverse=descending):
+        if not c:
+            continue
+        c_str = str(c)
+        wrap = " + " in c_str or "/" in c_str or "*" in c_str
+        if e == 0:
+            parts.append(f"({c_str})" if wrap else c_str)
+            continue
+        v = var if e == 1 else f"{var}^{e}"
+        if c_str == "1":
+            parts.append(v)
+        else:
+            parts.append((f"({c_str})" if wrap else c_str) + f"*{v}")
+    return " + ".join(parts) or "0"
 
 
 class RatFunc:
@@ -429,30 +451,13 @@ class RatFunc:
         return RatFunc(self.num.frobenius(k), self.den.frobenius(k))
 
     def __pow__(self, n: int) -> "RatFunc":
+        # reduced stays reduced and monic stays monic under powers
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return RatFunc.one(self.spec)
-        p = self.spec.p
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        base = self.frobenius(v) if v else self
-        result = None
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return RatFunc(self.num ** n, self.den ** n)
 
     def in_prime_field(self) -> bool:
         return self.is_constant() and self.constant_value().in_prime_field()
-
-    def canonical_key(self) -> bytes:
-        return b"K|" + _key_of_poly(self.num) + b"/" + _key_of_poly(self.den)
 
     def __str__(self) -> str:
         if self.den.is_one():
@@ -467,27 +472,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def _key_of_elem(c: FieldElem) -> bytes:
-    return ",".join(str(v) for v in c.coeffs).encode()
-
-
-def _key_of_poly(a: FFPoly) -> bytes:
-    body = b";".join(b"%d:%b" % (e, _key_of_elem(c))
-                     for e, c in sorted(a.terms.items()))
-    return b"(" + body + b")"
-
-
-_ZERO_KEY = b"zero"
-
-
-def canonical_key(value) -> bytes:
-    """Injective serialization of a canonical element; zero of any ring maps
-    to the same fixed sentinel."""
-    if not value:
-        return _ZERO_KEY
-    return value.canonical_key()
 
 
 def weil_height(value: Union[RatFunc, FFPoly]) -> int:
@@ -621,7 +605,7 @@ class ExtRing:
         """The reduction of y^p, cached; p-th powers are semilinear over it."""
         if self._frob_gen is None:
             object.__setattr__(self, "_frob_gen",
-                               _small_pow(self.y(), self.spec.p))
+                               power(self.y(), self.spec.p, operator.mul))
         return self._frob_gen
 
     @property
@@ -659,31 +643,11 @@ class ExtRing:
         return self._hash
 
     def modulus_str(self) -> str:
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.modulus[e]
-            if not c:
-                continue
-            if e == 0:
-                s = str(c)
-                parts.append(f"({s})" if (" + " in s or "*" in s or "/" in s) else s)
-                continue
-            v = self.generator if e == 1 else f"{self.generator}^{e}"
-            if c.is_one():
-                parts.append(v)
-            else:
-                s = str(c)
-                if " + " in s or "*" in s or "/" in s:
-                    s = f"({s})"
-                parts.append(f"{s}*{v}")
-        return " + ".join(parts)
+        return format_terms(dict(enumerate(self.modulus)), self.generator,
+                            descending=True)
 
     def __repr__(self) -> str:
         return f"ExtRing({self.spec.format()}[y]/({self.modulus_str()}))"
-
-    def canonical_key(self) -> bytes:
-        body = b";".join(c.canonical_key() for c in self.modulus)
-        return b"R[" + self.spec.format().encode() + b"|" + body + b"]"
 
 
 class ExtElem:
@@ -777,24 +741,14 @@ class ExtElem:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "ExtElem":
-        # split the exponent base p: repeated p-th powers are semilinear in
-        # the K-coefficients and keep sparse values sparse, while plain
-        # square-and-multiply would walk through dense multinomial blowups
+        # base p: repeated p-th powers are semilinear in the K-coefficients
+        # and keep sparse values sparse, while plain square-and-multiply
+        # would walk through dense multinomial blowups
         if n < 0:
             return self.inverse() ** (-n)
-        p = self.spec.p
-        result = self.ring.one()
-        frob = self
-        while n:
-            n, digit = divmod(n, p)
-            if digit:
-                piece = frob
-                for _ in range(digit - 1):
-                    piece = piece * frob
-                result = result * piece
-            if n:
-                frob = frob.frobenius()
-        return result
+        if n == 0:
+            return self.ring.one()
+        return power(self, n, operator.mul, ExtElem.frobenius, self.spec.p)
 
     def frobenius(self, k: int = 1) -> "ExtElem":
         out = self
@@ -809,29 +763,9 @@ class ExtElem:
     def in_prime_field(self) -> bool:
         return self.in_K() and self.coeffs[0].in_prime_field()
 
-    def canonical_key(self) -> bytes:
-        body = b";".join(c.canonical_key() for c in self.coeffs)
-        return self.ring.canonical_key() + b"{" + body + b"}"
-
     def __str__(self) -> str:
-        parts = []
-        for e in range(self.ring.degree - 1, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                s = str(c)
-                parts.append(f"({s})" if (" + " in s or "*" in s or "/" in s) else s)
-                continue
-            v = self.ring.generator if e == 1 else f"{self.ring.generator}^{e}"
-            if c.is_one():
-                parts.append(v)
-            else:
-                s = str(c)
-                if " + " in s or "*" in s or "/" in s:
-                    s = f"({s})"
-                parts.append(f"{s}*{v}")
-        return " + ".join(parts) if parts else "0"
+        return format_terms(dict(enumerate(self.coeffs)), self.ring.generator,
+                            descending=True)
 
     def __repr__(self) -> str:
         return f"ExtElem({self})"
@@ -866,19 +800,6 @@ class KRing:
 
     def __repr__(self) -> str:
         return f"KRing({self.spec.format()}(t))"
-
-
-def _small_pow(x: "ExtElem", e: int) -> "ExtElem":
-    """x**e by square-and-multiply, for small fixed e (the characteristic)."""
-    result = None
-    base = x
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return x.ring.one() if result is None else result
 
 
 def ring_of(value) -> Union[KRing, ExtRing]:

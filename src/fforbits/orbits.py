@@ -1,9 +1,10 @@
 """Orbit intersection and the shape of return sets.
 
 The search primitives are exact and pointwise: orbits are walked by repeated
-evaluation, collisions are found by hashing canonical keys of the points and
-re-verified structurally, and an optional height sieve restricts which index
-pairs are compared at all (never changing the answer, only the work).
+evaluation, collisions are found by keying a dict with the points themselves
+(hash and equality are structural on canonical forms, so a dict hit is a
+structural match), and an optional height sieve restricts which index pairs
+are compared at all (never changing the answer, only the work).
 
 fit_return_model classifies a finite slice of a return set into the shapes
 that actually occur here: arithmetic progressions {a*k + b}, geometric
@@ -20,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dynpoly import DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
-from .funcfield import RatFunc, canonical_key
+from .funcfield import RatFunc
 from .heights import PruningData, multiplicative_dependence, pruned_candidates
 
 
@@ -47,9 +48,9 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
                      pruning: Optional[PruningData] = None) -> ReturnSet:
     """All (m, n) within the caps where the two orbits meet.
 
-    Without pruning every pair is considered via a key table over the first
+    Without pruning every pair is considered via a dict over the first
     orbit; with pruning only pairs passing the height sieve are compared.
-    Both paths re-check candidate hits structurally, so the results agree.
+    Both paths compare points structurally, so the results agree.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("orbit intersection is for degrees >= 2")
@@ -61,11 +62,10 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
     if pruning is None:
         index = {}
         for m, v in enumerate(orbit_a):
-            index.setdefault(canonical_key(v), []).append(m)
+            index.setdefault(v, []).append(m)
         for n, v in enumerate(orbit_b):
-            for m in index.get(canonical_key(v), ()):
-                if orbit_a[m] == v:
-                    pairs.append((m, n))
+            for m in index.get(v, ()):
+                pairs.append((m, n))
     else:
         allowed = pruned_candidates(pruning.u1, pruning.u2,
                                     f.degree, g.degree, pruning.c,
@@ -360,11 +360,10 @@ def detect_preperiodicity(f: DynPoly, gamma, max_steps: int
     """(tail length, period) if the orbit revisits a point within
     max_steps evaluations, else None."""
     v = _point(f, gamma)
-    seen = {canonical_key(v): 0}
+    seen = {v: 0}
     for i in range(1, max_steps + 1):
         v = f.evaluate(v)
-        k = canonical_key(v)
-        if k in seen:
-            return (seen[k], i - seen[k])
-        seen[k] = i
+        if v in seen:
+            return (seen[v], i - seen[v])
+        seen[v] = i
     return None

@@ -18,11 +18,12 @@ two views, and evaluation goes through iterated p-th powers of the point.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
-from .field import FieldSpec
-from .funcfield import ExtElem, ExtRing, KRing, RatFunc
+from .field import FieldSpec, power
+from .funcfield import ExtElem, ExtRing, KRing, RatFunc, format_terms
 
 from .dynpoly import DynPoly, is_additive, _scalar_in
 
@@ -207,23 +208,8 @@ class TwistedPoly:
         return cls(f.ring, tuple(rows.get(i, zero) for i in range(top + 1)))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            c_str = str(c)
-            wrap = " + " in c_str or "/" in c_str or "*" in c_str
-            if i == 0:
-                parts.append(f"({c_str})" if wrap else c_str)
-                continue
-            v = "T" if i == 1 else f"T^{i}"
-            if c_str == "1":
-                parts.append(v)
-            else:
-                parts.append((f"({c_str})" if wrap else c_str) + f"*{v}")
-        return " + ".join(parts)
+        return format_terms(dict(enumerate(self.coeffs)), "T",
+                            descending=False)
 
     def __repr__(self) -> str:
         return f"TwistedPoly({self})"
@@ -235,7 +221,8 @@ def twisted_pow(a: TwistedPoly, n: int,
 
     When every coefficient lies in the prime field the factors commute and
     the power splits along the base-p digits of n, which keeps things sparse
-    even at degree thousands; otherwise plain square-and-multiply.
+    even at degree thousands; otherwise binary powering, since K{T} has no
+    Frobenius shortcut.
     """
     if n < 0:
         raise ValueError("negative power in K{T}")
@@ -250,15 +237,7 @@ def twisted_pow(a: TwistedPoly, n: int,
         return TwistedPoly.zero(a.ring)
     if a.all_prime_field():
         return _prime_field_pow(a, n)
-    result = None
-    base = a
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    return power(a, n, operator.mul)
 
 
 def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
@@ -266,16 +245,8 @@ def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
     # p-th power just dilates exponents (coefficients are Frobenius-fixed)
     p = a.spec.p
     base = {i: _prime_int(c) for i, c in enumerate(a.coeffs) if c}
-    acc = {0: 1}
-    step = 1
-    while n:
-        digit = n % p
-        n //= p
-        if digit:
-            dilated = {e * step: v for e, v in base.items()}
-            for _ in range(digit):
-                acc = _conv_mod_p(acc, dilated, p)
-        step *= p
+    acc = power(base, n, lambda x, y: _conv_mod_p(x, y, p),
+                lambda x, k: {e * p ** k: v for e, v in x.items()}, p)
     top = max(acc)
     ring = a.ring
     zero = ring.zero()

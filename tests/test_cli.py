@@ -3,9 +3,12 @@ End-to-end tests for the command line: exit codes, the JSON report
 schema, determinism of the output bytes, and the per-task report shapes.
 """
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import fforbits
 from fforbits.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INVALID,
                           EXIT_OK, emit_report, main)
 
@@ -46,6 +49,28 @@ def test_intersect_scenario_json(tmp_path, capsys):
     assert run["pairs"] == want
     assert run["exhaustive"] is True
     assert run["caps"] == {"capM": 32, "capN": 32}
+
+
+def test_version_matches_package_and_pyproject(tmp_path, capsys):
+    sc = write(tmp_path, "quad.txt", QUADRATIC)
+    _, out, _ = run_cli(capsys, "--scenario", sc, "--format", "json")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(),
+                         re.MULTILINE).group(1)
+    assert json.loads(out)["version"] == fforbits.__version__ == declared
+
+
+def test_extension_point_with_denominator(tmp_path, capsys):
+    """Reducing the denominators of 1/y's orbit takes remainders across
+    gaps over 64 below the divisor degree."""
+    sc = write(tmp_path, "inv.txt",
+               "field = GF(2); ext = y^2 + y + t; f = x^2 + x; g = x^2 + x\n"
+               "alpha = 1/y; beta = (1/y)^2 + 1/y; task = intersect\n"
+               "capM = 7; capN = 7")
+    rc, out, _ = run_cli(capsys, "--scenario", sc, "--format", "json")
+    assert rc == EXIT_OK
+    (run,) = json.loads(out)["runs"]
+    assert run["pairs"] == [[n + 1, n] for n in range(7)]
 
 
 def test_json_output_is_byte_deterministic(tmp_path, capsys):

@@ -19,6 +19,9 @@ from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
+GF5 = FieldSpec(5)
+GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))
+GF31 = FieldSpec(31)
 
 
 def poly(spec, terms):
@@ -90,12 +93,23 @@ def test_ffpoly_gcd_divides_both(a, b):
 
 
 def test_ffpoly_pow_matches_repeated_mul():
-    for spec in (GF2, GF3):
-        a = poly(spec, {0: 1, 1: 1, 3: spec.p - 1})
+    for spec in (GF2, GF3, GF5, GF9, GF31):
+        terms = {0: 1, 1: 1, 3: spec.p - 1}
+        if spec.r > 1:
+            terms[2] = spec.gen()  # a coefficient that Frobenius moves
+        a = poly(spec, terms)
         acc = FFPoly.one(spec)
-        for n in range(12):
-            assert a ** n == acc
+        for n in range(31):
+            assert a ** n == acc, (spec, n)
             acc = acc * a
+
+
+def test_ffpoly_mod_with_gap_between_divisor_degree_and_twice_it():
+    """A gap over 64 but under the divisor degree takes the term-by-term
+    path, whose squarings must not re-enter it for the same exponent."""
+    a = poly(GF2, {180: 1})
+    m = poly(GF2, {100: 1, 1: 1, 0: 1})
+    assert a % m == a.divmod(m)[1]
 
 
 def test_ffpoly_pow_huge_sparse_exponent():
@@ -200,6 +214,14 @@ def test_ratfunc_height_of_inverse(a):
 def test_ratfunc_pow_negative_and_huge():
     t = RatFunc.t(GF2)
     assert t ** -3 == RatFunc.one(GF2) / t ** 3
+    for spec in (GF2, GF3, GF5):
+        a = rat(spec, {0: 1, 1: 1}, {1: 1, 2: 2})
+        assert not a.is_poly()
+        acc = RatFunc.one(spec)
+        for n in range(13):
+            assert a ** n == acc, (spec, n)
+            assert a ** -n == RatFunc.one(spec) / acc, (spec, n)
+            acc = acc * a
     e = 2 ** 40
     assert (t ** e).height() == e
 
@@ -254,10 +276,11 @@ def artin_schreier(spec):
 
 
 def test_ext_generator_satisfies_modulus():
-    for spec in (GF2, GF3):
+    for spec in (GF2, GF3, GF5):
         ring = artin_schreier(spec)
         y = ring.y()
         t = ring.from_K(RatFunc.t(spec))
+        assert ring.frobenius_of_generator() == brute_pow(y, spec.p)
         assert y ** spec.p == y + t
 
 

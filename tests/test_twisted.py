@@ -136,6 +136,13 @@ def test_twisted_pow_matches_repeated_mul():
         a = tw(ring, [t, 1])
         for n in range(9):
             assert twisted_pow(a, n) == brute_twisted_pow(a, n)
+    # constant coefficients outside GF(2) take the generic path
+    K4 = KRing(GF4)
+    w = RatFunc.constant(GF4, GF4.gen())
+    a = tw(K4, [w, 1, w + RatFunc.t(GF4)])
+    assert not a.all_prime_field()
+    for n in range(9):
+        assert twisted_pow(a, n) == brute_twisted_pow(a, n)
 
 
 def test_twisted_pow_additivity_of_exponents():
