@@ -606,11 +606,9 @@ def k_candidates(spec: FieldSpec, height_bound: int,
             for rest in itertools.product(elems, repeat=h):
                 if budget <= 0:
                     return
-                terms = {h: lead}
-                for i, c in enumerate(rest):
-                    if c:
-                        terms[i] = c
-                yield emit(RatFunc.from_poly(FFPoly(spec, terms)))
+                terms = dict(enumerate(rest))
+                terms[h] = lead
+                yield emit(RatFunc.from_poly(FFPoly.make(spec, terms)))
         # fractions with max(deg num, deg den) == h
         for dd in range(1, h + 1):
             for den in _monic_polys(spec, dd, elems, nonzero):
@@ -627,25 +625,20 @@ def k_candidates(spec: FieldSpec, height_bound: int,
 def _polys_of_degree(spec, d, elems, nonzero):
     if d == 0:
         for c in nonzero:
-            yield FFPoly(spec, {0: c})
+            yield FFPoly.constant(spec, c)
         return
     for lead in nonzero:
         for rest in itertools.product(elems, repeat=d):
-            terms = {d: lead}
-            for i, c in enumerate(rest):
-                if c:
-                    terms[i] = c
-            yield FFPoly(spec, terms)
+            terms = dict(enumerate(rest))
+            terms[d] = lead
+            yield FFPoly.make(spec, terms)
 
 
 def _monic_polys(spec, d, elems, nonzero):
-    one = spec.one()
     for rest in itertools.product(elems, repeat=d):
-        terms = {d: one}
-        for i, c in enumerate(rest):
-            if c:
-                terms[i] = c
-        yield FFPoly(spec, terms)
+        terms = dict(enumerate(rest))
+        terms[d] = 1
+        yield FFPoly.make(spec, terms)
 
 
 def common_iterate(f: DynPoly, g: DynPoly, cap_m: int, cap_n: int,

@@ -107,9 +107,13 @@ def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
 
 
 class FieldSpec:
-    """Description of GF(p^r); also the element factory."""
+    """Description of GF(p^r); also the element factory.
 
-    __slots__ = ("p", "r", "modulus", "generator", "_hash")
+    int_p is p when r == 1, where an element is just its residue mod p and
+    arithmetic can run on plain ints, and 0 otherwise.
+    """
+
+    __slots__ = ("p", "r", "modulus", "generator", "int_p", "_hash")
 
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] = (),
                  generator: str = "w"):
@@ -128,6 +132,7 @@ class FieldSpec:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "int_p", p if r == 1 else 0)
         object.__setattr__(self, "_hash", hash((p, r, modulus)))
 
     def __setattr__(self, name, value):
@@ -174,8 +179,9 @@ class FieldSpec:
             yield FieldElem(self, tuple(digits))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldSpec) and self.p == other.p
-                and self.r == other.r and self.modulus == other.modulus)
+        return self is other or (
+            isinstance(other, FieldSpec) and self.p == other.p
+            and self.r == other.r and self.modulus == other.modulus)
 
     def __hash__(self) -> int:
         return self._hash

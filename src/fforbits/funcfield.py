@@ -1,9 +1,11 @@
 """The rational function field K = GF(q)(t) and finite extensions of it.
 
-Polynomials in t are kept sparse: a dict from exponent to nonzero FieldElem,
-with arbitrary-precision exponents.  Orbit computations routinely produce
-things like t^(2^64) + t, so exponents are never assumed to fit any width,
-and remainders against small divisors are taken term-by-term with modular
+Polynomials in t are kept sparse: a dict from exponent to nonzero
+coefficient, with arbitrary-precision exponents.  Over a prime field GF(p)
+a coefficient is a plain int residue in [1, p); over GF(p^r) with r > 1 it
+is a FieldElem.  Orbit computations routinely produce things like
+t^(2^64) + t, so exponents are never assumed to fit any width, and
+remainders against small divisors are taken term-by-term with modular
 exponentiation of t rather than by long division across the gap.
 
 Rational functions are kept in the canonical reduced form: denominator monic
@@ -30,7 +32,10 @@ from .field import FieldElem, FieldSpec, power
 _GAP_FOR_POWMOD = 64
 
 
-def sparse_add(a: dict, b: dict) -> dict:
+# The sparse kernels below take the modulus p of the values: with p they
+# are ints reduced mod p, with p = 0 they bring their own arithmetic
+# (FieldElem, RatFunc, ExtElem).
+def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
     """Sum of two canonical exponent -> coefficient dicts (no zero values)."""
     out = dict(a)
     for e, c in b.items():
@@ -39,6 +44,8 @@ def sparse_add(a: dict, b: dict) -> dict:
             out[e] = c
         else:
             s = s + c
+            if p:
+                s %= p
             if s:
                 out[e] = s
             else:
@@ -46,34 +53,65 @@ def sparse_add(a: dict, b: dict) -> dict:
     return out
 
 
-def sparse_mul(a: dict, b: dict) -> dict:
-    """Product of two canonical exponent -> coefficient dicts; a product of
-    nonzero coefficients may vanish in a ring with zero divisors."""
+def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
+    """Product of two canonical exponent -> coefficient dicts.
+
+    Products are summed raw and reduced mod p (or dropped when zero) once
+    at the end.  A one-term operand only shifts and scales the other; a
+    product of nonzero values may still vanish there, because an extension
+    ring can have zero divisors.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        if p:
+            return {e1 + e: c1 * c % p for e, c in b.items()}
+        return {e1 + e: v for e, c in b.items() if (v := c1 * c)}
     out: dict = {}
+    get = out.get
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
-            c = c1 * c2
-            s = out.get(e)
-            if s is None:
-                if c:
-                    out[e] = c
-            else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-    return out
+            s = get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    if p:
+        return {e: v for e, s in out.items() if (v := s % p)}
+    return {e: s for e, s in out.items() if s}
+
+
+def _coeff(spec: FieldSpec, c) -> Union[int, FieldElem]:
+    """An int or a FieldElem of spec as a value of FFPoly.terms."""
+    p = spec.int_p
+    if p and isinstance(c, int):
+        return c % p
+    c = spec.elem(c)
+    return c.coeffs[0] if p else c
+
+
+def _elem(spec: FieldSpec, c) -> FieldElem:
+    """A value of FFPoly.terms as a FieldElem."""
+    return FieldElem(spec, (c,)) if spec.int_p else c
+
+
+def _one(spec: FieldSpec) -> Union[int, FieldElem]:
+    return 1 if spec.int_p else spec.one()
+
+
+def _inverse(c, p: int):
+    return pow(c, p - 2, p) if p else c.inverse()
 
 
 class FFPoly:
-    """Sparse polynomial in t over GF(p^r)."""
+    """Sparse polynomial in t over GF(p^r): terms maps each exponent to a
+    nonzero coefficient, an int in [1, p) when r == 1 and a FieldElem
+    otherwise."""
 
     __slots__ = ("spec", "terms", "_hash")
 
     def __init__(self, spec: FieldSpec, terms: dict):
-        # terms must already be canonical: no zero coefficients
+        # terms must already be canonical: nonzero coefficients, stored as
+        # _coeff stores them
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
@@ -87,7 +125,7 @@ class FFPoly:
     def make(cls, spec: FieldSpec, terms: dict) -> "FFPoly":
         clean = {}
         for e, c in terms.items():
-            c = spec.elem(c)
+            c = _coeff(spec, c)
             if c:
                 if e < 0:
                     raise ValueError("negative exponent in polynomial")
@@ -100,20 +138,20 @@ class FFPoly:
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "FFPoly":
-        return cls(spec, {0: spec.one()})
+        return cls(spec, {0: _one(spec)})
 
     @classmethod
     def t(cls, spec: FieldSpec) -> "FFPoly":
-        return cls(spec, {1: spec.one()})
+        return cls(spec, {1: _one(spec)})
 
     @classmethod
     def constant(cls, spec: FieldSpec, c) -> "FFPoly":
-        c = spec.elem(c)
+        c = _coeff(spec, c)
         return cls(spec, {0: c} if c else {})
 
     @classmethod
     def monomial(cls, spec: FieldSpec, e: int, c=1) -> "FFPoly":
-        c = spec.elem(c)
+        c = _coeff(spec, c)
         return cls(spec, {e: c} if c else {})
 
     # -- structure ----------------------------------------------------
@@ -127,16 +165,16 @@ class FFPoly:
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and 0 in self.terms \
-            and self.terms[0] == self.spec.one()
+        return len(self.terms) == 1 and self.terms.get(0) == _one(self.spec)
 
     def leading_coeff(self) -> FieldElem:
         if not self.terms:
             return self.spec.zero()
-        return self.terms[max(self.terms)]
+        return _elem(self.spec, self.terms[max(self.terms)])
 
     def is_monic(self) -> bool:
-        return bool(self.terms) and self.leading_coeff() == self.spec.one()
+        return bool(self.terms) \
+            and self.terms[max(self.terms)] == _one(self.spec)
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), reverse=True)
@@ -160,9 +198,13 @@ class FFPoly:
 
     def __add__(self, other: "FFPoly") -> "FFPoly":
         self._check(other)
-        return FFPoly(self.spec, sparse_add(self.terms, other.terms))
+        return FFPoly(self.spec, sparse_add(self.terms, other.terms,
+                                            self.spec.int_p))
 
     def __neg__(self) -> "FFPoly":
+        p = self.spec.int_p
+        if p:
+            return FFPoly(self.spec, {e: p - c for e, c in self.terms.items()})
         return FFPoly(self.spec, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "FFPoly") -> "FFPoly":
@@ -170,16 +212,22 @@ class FFPoly:
 
     def __mul__(self, other: "FFPoly") -> "FFPoly":
         self._check(other)
-        return FFPoly(self.spec, sparse_mul(self.terms, other.terms))
+        return FFPoly(self.spec, sparse_mul(self.terms, other.terms,
+                                            self.spec.int_p))
 
-    def scale(self, c: FieldElem) -> "FFPoly":
+    def scale(self, c: Union[FieldElem, int]) -> "FFPoly":
+        spec = self.spec
+        c = _coeff(spec, c)
         if not c:
-            return FFPoly.zero(self.spec)
-        return FFPoly(self.spec, {e: a * c for e, a in self.terms.items()})
+            return FFPoly.zero(spec)
+        return FFPoly(spec, sparse_mul({0: c}, self.terms, spec.int_p))
 
     def frobenius(self, k: int = 1) -> "FFPoly":
-        """self ** (p ** k), via the coefficient-wise p-power map."""
+        """self ** (p ** k), via the coefficient-wise p-power map; prime
+        field coefficients are fixed by it."""
         q = self.spec.p ** k
+        if self.spec.int_p:
+            return FFPoly(self.spec, {e * q: c for e, c in self.terms.items()})
         return FFPoly(self.spec,
                       {e * q: c.frobenius(k) for e, c in self.terms.items()})
 
@@ -198,8 +246,9 @@ class FFPoly:
         self._check(other)
         if not other:
             raise DivisionByZero("polynomial division by zero")
+        p = self.spec.int_p
         db = other.degree
-        inv_lead = other.leading_coeff().inverse()
+        inv_lead = _inverse(other.terms[db], p)
         quo: dict = {}
         rem = dict(self.terms)
         while rem:
@@ -207,20 +256,20 @@ class FFPoly:
             if da < db:
                 break
             c = rem[da] * inv_lead
+            if p:
+                c %= p
             shift = da - db
             quo[shift] = c
             for e, b in other.terms.items():
                 ee = e + shift
-                s = rem.get(ee, None)
-                cc = c * b
-                if s is None:
-                    rem[ee] = -cc
+                s = rem.get(ee)
+                s = -(c * b) if s is None else s - c * b
+                if p:
+                    s %= p
+                if s:
+                    rem[ee] = s
                 else:
-                    s = s - cc
-                    if s:
-                        rem[ee] = s
-                    else:
-                        del rem[ee]
+                    del rem[ee]
         return FFPoly(self.spec, quo), FFPoly(self.spec, rem)
 
     def __mod__(self, other: "FFPoly") -> "FFPoly":
@@ -251,14 +300,14 @@ class FFPoly:
             a, b = b, a % b
         if not a:
             return a
-        return a.scale(a.leading_coeff().inverse())
+        return a.scale(_inverse(a.terms[a.degree], a.spec.int_p))
 
     # -- misc ----------------------------------------------------------
 
     def evaluate(self, x: FieldElem) -> FieldElem:
         acc = self.spec.zero()
         for e, c in self.terms.items():
-            acc = acc + c * x ** e
+            acc = acc + _elem(self.spec, c) * x ** e
         return acc
 
     def __str__(self) -> str:
@@ -353,9 +402,9 @@ class RatFunc:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.leading_coeff()
-            if lead != spec.one():
-                inv = lead.inverse()
+            lead = den.terms[den.degree]
+            if lead != _one(spec):
+                inv = _inverse(lead, spec.int_p)
                 num = num.scale(inv)
                 den = den.scale(inv)
         return cls(num, den)
@@ -404,7 +453,8 @@ class RatFunc:
     def constant_value(self) -> FieldElem:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.num.terms.get(0, self.spec.zero())
+        c = self.num.terms.get(0)
+        return self.spec.zero() if c is None else _elem(self.spec, c)
 
     def height(self) -> int:
         """Weil height: max degree of the reduced pair; 0 iff constant."""

@@ -23,7 +23,8 @@ from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
 from .field import FieldSpec, power
-from .funcfield import ExtElem, ExtRing, KRing, RatFunc, format_terms
+from .funcfield import (ExtElem, ExtRing, KRing, RatFunc, format_terms,
+                        sparse_mul)
 
 from .dynpoly import DynPoly, is_additive, _scalar_in
 
@@ -245,7 +246,7 @@ def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
     # p-th power just dilates exponents (coefficients are Frobenius-fixed)
     p = a.spec.p
     base = {i: _prime_int(c) for i, c in enumerate(a.coeffs) if c}
-    acc = power(base, n, lambda x, y: _conv_mod_p(x, y, p),
+    acc = power(base, n, lambda x, y: sparse_mul(x, y, p),
                 lambda x, k: {e * p ** k: v for e, v in x.items()}, p)
     top = max(acc)
     ring = a.ring
@@ -258,19 +259,6 @@ def _prime_int(c) -> int:
     if isinstance(c, ExtElem):
         c = c.as_K()
     return c.constant_value().as_int()
-
-
-def _conv_mod_p(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            v = (out.get(e, 0) + v1 * v2) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
 
 
 def commute_at_iterate(a: TwistedPoly, b: TwistedPoly, m: int,

@@ -3,7 +3,10 @@ End-to-end tests for the command line: exit codes, the JSON report
 schema, determinism of the output bytes, and the per-task report shapes.
 """
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,3 +259,18 @@ def test_emit_report_stable_bytes():
     b2 = emit_report(report, "json")
     assert b1 == b2
     assert json.loads(b1.decode()) == report
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """python -m fforbits runs from the source tree, no install needed."""
+    src = str(Path(fforbits.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    args = ["--verify-all", "--pmax", "2", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "fforbits", *args],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    _, out, _ = run_cli(capsys, *args)
+    assert proc.stdout.decode() == out
+    assert json.loads(out)["runs"][0]["summary"]["fail"] == 0

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import FieldSpec
+from fforbits.field import FieldElem, FieldSpec
 from fforbits.funcfield import (ExtRing, FFPoly, RatFunc, kx_eval, kx_gcd,
                                 kx_mul, kx_xgcd, ring_of, weil_height)
+from fforbits.dynpoly import DynPoly, k_candidates
 from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 
 
@@ -22,6 +23,8 @@ GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
 GF5 = FieldSpec(5)
 GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))
 GF31 = FieldSpec(31)
+PRIME_FIELDS = (GF2, GF3, GF5, GF31)
+FIELDS = PRIME_FIELDS + (GF4, GF9)
 
 
 def poly(spec, terms):
@@ -36,10 +39,26 @@ def rat(spec, num_terms, den_terms=None):
 
 # Hypothesis strategies: small random polynomials and rational functions.
 
-def ffpoly_strategy(spec, max_deg=6):
-    coeff = st.integers(min_value=0, max_value=spec.p - 1)
+def ffpoly_strategy(spec, max_deg=6, max_exp=None):
+    """Dense up to degree max_deg, or, with max_exp, at most max_deg + 1
+    terms with exponents up to max_exp.  Coefficients of GF(p^r) fields
+    are drawn as FieldElems, of prime fields as ints."""
+    if spec.r == 1:
+        coeff = st.integers(min_value=0, max_value=spec.p - 1)
+    else:
+        coeff = st.sampled_from(list(spec.all_elements()))
+    if max_exp is not None:
+        return st.dictionaries(st.integers(0, max_exp), coeff,
+                               max_size=max_deg + 1).map(
+            lambda d: poly(spec, d))
     return st.lists(coeff, min_size=0, max_size=max_deg + 1).map(
         lambda cs: poly(spec, {e: c for e, c in enumerate(cs)}))
+
+
+def ffpoly_tuples(fields, n, max_deg=6, max_exp=None):
+    """n polynomials over one field drawn from fields."""
+    return st.sampled_from(fields).flatmap(lambda spec: st.tuples(
+        *[ffpoly_strategy(spec, max_deg, max_exp) for _ in range(n)]))
 
 
 def ratfunc_strategy(spec, max_deg=4):
@@ -48,6 +67,85 @@ def ratfunc_strategy(spec, max_deg=4):
 
 
 # FFPoly
+
+def assert_canonical(a):
+    """terms hold ints in [1, p) over GF(p) and nonzero FieldElems of the
+    same field over GF(p^r); a FieldElem stored over GF(p) would break ==
+    and hashing against the same polynomial built from ints."""
+    spec = a.spec
+    for c in a.terms.values():
+        if spec.r == 1:
+            assert type(c) is int and 0 < c < spec.p, (a, c)
+        else:
+            assert isinstance(c, FieldElem) and c.spec == spec and c, (a, c)
+
+
+def polys_in(value):
+    """Every FFPoly inside a RatFunc, ExtElem, DynPoly or TwistedPoly."""
+    if isinstance(value, FFPoly):
+        yield value
+    elif isinstance(value, RatFunc):
+        yield value.num
+        yield value.den
+    elif isinstance(value, DynPoly):
+        for c in value.terms.values():
+            yield from polys_in(c)
+    else:
+        for c in value.coeffs:
+            yield from polys_in(c)
+
+
+def test_constructors_store_canonical_coefficients():
+    for spec in FIELDS:
+        p = spec.p
+        for a in (poly(spec, {0: 1, 3: p + 2, 7: spec.elem(p - 1)}),
+                  FFPoly.constant(spec, spec.elem(p - 1)),
+                  FFPoly.constant(spec, -1),
+                  FFPoly.monomial(spec, 5, spec.one()),
+                  FFPoly.monomial(spec, 2 ** 70),
+                  FFPoly.one(spec), FFPoly.t(spec)):
+            assert a
+            assert_canonical(a)
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_make_from_field_elems_equals_make_from_ints(spec):
+    ints = {0: 1, 2: spec.p - 1, 9: spec.p + 1, 2 ** 65: 1}
+    elems = {e: spec.elem(c) for e, c in ints.items()}
+    a, b = poly(spec, ints), poly(spec, elems)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.terms == b.terms
+    assert a.leading_coeff() == spec.one()
+    assert isinstance(a.leading_coeff(), FieldElem)
+
+
+def test_parsed_scenario_values_are_canonical():
+    from fforbits.parser import parse_scenario
+    for field in ("GF(3)", "GF(9; mod=w^2+1)"):
+        sc = parse_scenario(f"""
+field = {field}
+f = x^3 + (2*t + 1)/(t^2 + 2)*x + 2
+g = x^3 + t^4*x^2 + 1
+alpha = t/(t + 1)
+beta = (t^9 + 2)^3
+task = intersect
+""")
+        for value in (sc.f, sc.g, sc.alpha, sc.beta):
+            for a in polys_in(value):
+                assert_canonical(a)
+        assert sc.alpha == RatFunc.make(poly(sc.spec, {1: 1}),
+                                        poly(sc.spec, {1: 1, 0: 1}))
+
+
+@pytest.mark.parametrize("spec", (GF3, GF4), ids=str)
+def test_k_candidates_are_canonical(spec):
+    values = list(k_candidates(spec, 2))
+    for v in values:
+        for a in polys_in(v):
+            assert_canonical(a)
+    assert len(set(values)) == len(values)
+
 
 def test_ffpoly_zero_coeffs_dropped():
     a = poly(GF3, {0: 1, 2: 0, 5: 3})
@@ -62,34 +160,101 @@ def test_ffpoly_degree():
     assert FFPoly.one(GF2).degree == 0
 
 
-@given(a=ffpoly_strategy(GF3), b=ffpoly_strategy(GF3), c=ffpoly_strategy(GF3))
-def test_ffpoly_ring_axioms(a, b, c):
+@given(abc=ffpoly_tuples(FIELDS, 3))
+def test_ffpoly_ring_axioms(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + (-a) == FFPoly.zero(GF3)
+    assert a + (-a) == FFPoly.zero(a.spec)
+    for v in (a + b, a - b, a * b, -a, a.frobenius()):
+        assert_canonical(v)
 
 
-@given(a=ffpoly_strategy(GF2), b=ffpoly_strategy(GF2))
-def test_ffpoly_divmod(a, b):
+@given(ab=ffpoly_tuples(FIELDS, 2))
+def test_ffpoly_divmod(ab):
+    a, b = ab
     if not b:
         return
     q, r = a.divmod(b)
     assert q * b + r == a
     assert r.degree < b.degree
+    assert_canonical(q)
+    assert_canonical(r)
 
 
-@given(a=ffpoly_strategy(GF3), b=ffpoly_strategy(GF3))
-def test_ffpoly_gcd_divides_both(a, b):
+@given(ab=ffpoly_tuples(FIELDS, 2))
+def test_ffpoly_gcd_divides_both(ab):
+    a, b = ab
     g = a.gcd(b)
     if not g:
         assert not a and not b
         return
+    assert_canonical(g)
     assert g.is_monic()
-    assert a.divmod(g)[1] == FFPoly.zero(GF3)
-    assert b.divmod(g)[1] == FFPoly.zero(GF3)
+    assert a.divmod(g)[1] == FFPoly.zero(a.spec)
+    assert b.divmod(g)[1] == FFPoly.zero(a.spec)
+
+
+def to_sympy(a):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    terms = {(e,): c for e, c in a.terms.items()} or {(0,): 0}
+    return sympy.Poly.from_dict(terms, t, modulus=a.spec.p)
+
+
+def from_sympy(spec, f, monic=False):
+    out = poly(spec, {e: int(c) for (e,), c in f.terms()})
+    if monic and out:
+        out = out.scale(out.leading_coeff().inverse())
+    return out
+
+
+@given(abc=st.sampled_from(PRIME_FIELDS).flatmap(lambda spec: st.tuples(
+           ffpoly_strategy(spec, max_exp=300), ffpoly_strategy(spec, max_exp=40),
+           ffpoly_strategy(spec))),
+       n=st.integers(min_value=0, max_value=6))
+@settings(max_examples=60, deadline=None)
+def test_ffpoly_matches_sympy(abc, n):
+    """+, -, *, divmod, % (on both sides of the pow-mod gap), gcd and **
+    over GF(p) against sympy's Poly(..., modulus=p)."""
+    a, b, c = abc
+    spec = a.spec
+    sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(c)
+    assert a + b == from_sympy(spec, sa + sb)
+    assert a - b == from_sympy(spec, sa - sb)
+    assert a * b == from_sympy(spec, sa * sb)
+    assert b ** n == from_sympy(spec, sb ** n)
+    assert a.gcd(b) == from_sympy(spec, sa.gcd(sb), monic=True)
+    assert (a * c).gcd(b * c) == from_sympy(spec, (sa * sc).gcd(sb * sc),
+                                            monic=True)
+    if b:
+        sq, sr = sa.div(sb)
+        assert a.divmod(b) == (from_sympy(spec, sq), from_sympy(spec, sr))
+        assert a % b == from_sympy(spec, sr)
+
+
+@given(ab=ffpoly_tuples(FIELDS, 2, max_exp=200),
+       k=st.integers(min_value=0, max_value=2 ** 70))
+@settings(max_examples=60, deadline=None)
+def test_ffpoly_one_term_operand(ab, k):
+    """A one-term operand shifts and scales the other, on either side of
+    the product; the oracle multiplies each term in FieldElem arithmetic,
+    and for prime fields also in sympy."""
+    a, b = ab
+    spec = a.spec
+    if not b:
+        return
+    lead = b.leading_coeff()
+    m = FFPoly.monomial(spec, k, lead)
+    want = poly(spec, {e + k: lead * spec.elem(c) for e, c in a.terms.items()})
+    assert a * m == want
+    assert m * a == want
+    assert_canonical(a * m)
+    if spec.r == 1 and k < 400:
+        assert a * m == from_sympy(spec, to_sympy(a) * to_sympy(m))
 
 
 def test_ffpoly_pow_matches_repeated_mul():
@@ -313,6 +478,22 @@ def test_ext_zero_divisor():
     bad = ring.y() - ring.from_K(t)
     with pytest.raises(ZeroDivisor):
         bad.inverse()
+
+
+def test_dynpoly_one_term_product_over_zero_divisors():
+    """In K[y]/(y^2 - t^2), (y - t)(y + t) = 0: a one-term factor can kill
+    a term of the other, and the zero must not be stored."""
+    spec = GF3
+    t = RatFunc.t(spec)
+    ring = ExtRing(spec, [-(t * t), RatFunc.zero(spec), RatFunc.one(spec)])
+    y, tt = ring.y(), ring.from_K(t)
+    m = DynPoly(ring, {3: y + tt})
+    f = DynPoly(ring, {0: ring.one(), 1: y - tt, 2: y - tt})
+    for prod in (m * f, f * m):
+        assert set(prod.terms) == {3}
+        assert all(prod.terms.values())
+        assert prod == DynPoly(ring, {3: y + tt})
+    assert (DynPoly(ring, {1: y - tt}) * m).terms == {}
 
 
 def brute_pow(v, n):
