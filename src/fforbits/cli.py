@@ -7,10 +7,10 @@ wall-clock data; elapsed time goes to stderr).  Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
@@ -242,22 +242,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"twisted degree limit (default {DEFAULT_TAU_BUDGET})")
     ap.add_argument("--pmax", type=int, default=None,
                     help="restrict --verify-all to primes <= pmax")
-    ap.add_argument("--jobs", type=int, default=1, metavar="K",
-                    help="run scenarios in up to K threads")
     return ap
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    fields = {name: getattr(sc, name) for name in Scenario.__slots__}
-    if args.cap_m is not None:
-        fields["cap_m"] = args.cap_m
-    if args.cap_n is not None:
-        fields["cap_n"] = args.cap_n
-    if args.degree_budget is not None:
-        fields["degree_budget"] = args.degree_budget
-    if args.tau_budget is not None:
-        fields["tau_budget"] = args.tau_budget
-    return Scenario(**fields)
+    return dataclasses.replace(sc, **{
+        name: getattr(args, name)
+        for name in ("cap_m", "cap_n", "degree_budget", "tau_budget")
+        if getattr(args, name) is not None})
 
 
 def _load(path: str) -> str:
@@ -275,9 +267,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write("nothing to do: pass --scenario and/or "
                          "--verify-all\n")
         return EXIT_INVALID
-    if args.jobs < 1:
-        sys.stderr.write("--jobs must be >= 1\n")
-        return EXIT_INVALID
 
     started = time.monotonic()
     runs: List[dict] = []
@@ -289,16 +278,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             runs.append({"kind": "verify", "checks": checks,
                          "summary": _verify_summary(checks)})
 
-        scenarios = []
-        for path in args.scenario:
-            sc = parse_scenario(_load(path))
-            scenarios.append(_apply_overrides(sc, args))
-
-        if args.jobs > 1 and len(scenarios) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                runs.extend(pool.map(run_scenario, scenarios))
-        else:
-            runs.extend(run_scenario(sc) for sc in scenarios)
+        scenarios = [_apply_overrides(parse_scenario(_load(path)), args)
+                     for path in args.scenario]
+        runs.extend(run_scenario(sc) for sc in scenarios)
     except BudgetExceeded as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")
         return EXIT_BUDGET

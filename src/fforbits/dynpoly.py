@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
-from .field import FieldSpec, binom_mod, power
+from .field import FieldSpec, Frozen, binom_mod, power
 from .funcfield import (ExtElem, ExtRing, FFPoly, KRing, RatFunc,
                         format_terms, kx_eval, kx_gcd, kx_trim, sparse_add,
                         sparse_mul)
@@ -69,7 +69,7 @@ def _is_p_power(e: int, p: int) -> bool:
     return e == 1
 
 
-class DynPoly:
+class DynPoly(Frozen):
     """Sparse polynomial in x over K or an extension ring of K."""
 
     __slots__ = ("ring", "terms", "_hash")
@@ -78,9 +78,6 @@ class DynPoly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DynPoly is immutable")
 
     @classmethod
     def make(cls, ring: Ring, terms: dict) -> "DynPoly":

@@ -106,7 +106,32 @@ def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
     return r0, u0, v0
 
 
-class FieldSpec:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its state in __slots__ and stores it in __init__ with
+    object.__setattr__; after that every attribute write or delete raises.
+    Copying and pickling call the constructor again with the public slots,
+    in order, as its arguments (a subclass where they differ overrides
+    __reduce__), so private caches such as a hash seeded by strings are
+    recomputed in the process that loads the value.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        return cls, tuple(getattr(self, name) for name in cls.__slots__
+                          if not name.startswith("_"))
+
+
+class FieldSpec(Frozen):
     """Description of GF(p^r); also the element factory.
 
     int_p is p when r == 1, where an element is just its residue mod p and
@@ -135,8 +160,8 @@ class FieldSpec:
         object.__setattr__(self, "int_p", p if r == 1 else 0)
         object.__setattr__(self, "_hash", hash((p, r, modulus)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldSpec is immutable")
+    def __reduce__(self):
+        return FieldSpec, (self.p, self.r, self.modulus, self.generator)
 
     @property
     def order(self) -> int:
@@ -283,15 +308,12 @@ def _parse_modulus(text: str, p: int, r: int) -> tuple:
     return tuple(coeffs)
 
 
-class FieldElem:
+class FieldElem(Frozen):
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs: tuple):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
 
     def _check(self, other: "FieldElem") -> None:
         if self.spec != other.spec:

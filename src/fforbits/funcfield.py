@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence, Union
 import operator
 
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
-from .field import FieldElem, FieldSpec, power
+from .field import FieldElem, FieldSpec, Frozen, power
 
 # long division is fine when the dividend's degree overhangs the divisor by
 # at most this much; beyond it, reduce term-by-term via pow-mod of t
@@ -102,7 +102,7 @@ def _inverse(c, p: int):
     return pow(c, p - 2, p) if p else c.inverse()
 
 
-class FFPoly:
+class FFPoly(Frozen):
     """Sparse polynomial in t over GF(p^r): terms maps each exponent to a
     nonzero coefficient, an int in [1, p) when r == 1 and a FieldElem
     otherwise."""
@@ -115,9 +115,6 @@ class FFPoly:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FFPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -375,7 +372,7 @@ def format_terms(terms: dict, var: str, descending: bool) -> str:
     return " + ".join(parts) or "0"
 
 
-class RatFunc:
+class RatFunc(Frozen):
     """Canonical fraction of FFPoly: monic denominator, gcd 1."""
 
     __slots__ = ("num", "den", "_hash")
@@ -384,9 +381,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def make(cls, num: FFPoly, den: Optional[FFPoly] = None) -> "RatFunc":
@@ -627,7 +621,7 @@ def kx_eval(a: Sequence[RatFunc], x: RatFunc, spec: FieldSpec) -> RatFunc:
     return acc
 
 
-class ExtRing:
+class ExtRing(Frozen):
     """K[y]/(M(y)) for a monic M of degree >= 1 over K.
 
     Doubles as the coefficient-ring handle used by DynPoly and TwistedPoly.
@@ -647,9 +641,6 @@ class ExtRing:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hash", hash((spec, modulus)))
         object.__setattr__(self, "_frob_gen", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtRing is immutable")
 
     def frobenius_of_generator(self) -> "ExtElem":
         """The reduction of y^p, cached; p-th powers are semilinear over it."""
@@ -700,16 +691,13 @@ class ExtRing:
         return f"ExtRing({self.spec.format()}[y]/({self.modulus_str()}))"
 
 
-class ExtElem:
+class ExtElem(Frozen):
     __slots__ = ("ring", "coeffs", "_hash")
 
     def __init__(self, ring: ExtRing, coeffs: tuple):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtElem is immutable")
 
     @property
     def spec(self) -> FieldSpec:
@@ -821,7 +809,7 @@ class ExtElem:
         return f"ExtElem({self})"
 
 
-class KRing:
+class KRing(Frozen):
     """Coefficient-ring handle for the plain base field K = GF(q)(t)."""
 
     __slots__ = ("spec", "_hash")
@@ -829,9 +817,6 @@ class KRing:
     def __init__(self, spec: FieldSpec):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "_hash", hash(("K", spec)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KRing is immutable")
 
     def zero(self) -> RatFunc:
         return RatFunc.zero(self.spec)

@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dynpoly import DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
+from .field import Frozen
 from .funcfield import RatFunc
 from .heights import PruningData, multiplicative_dependence, pruned_candidates
 
@@ -148,15 +149,15 @@ def reduce_to_same_degree(f: DynPoly, alpha, g: DynPoly, beta,
         r, s, a, b)
 
 
-class PlaneCurve:
+class PlaneCurve(Frozen):
     """A nonzero polynomial F(x1, x2) over K, tested for vanishing at
     orbit points of the product map (x1, x2) -> (f(x1), g(x2))."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms: dict):
-        self.ring = ring
-        self.terms = terms
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def make(cls, ring, terms: dict) -> "PlaneCurve":

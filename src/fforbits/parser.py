@@ -12,8 +12,9 @@ and parse(print(v)) == v holds for all of them; that round trip is what
 pins down the canonical form.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from .errors import (DegreeBudgetExceeded, MixedVariables, ParseError,
                      UndefinedSymbol, ValidationError)
@@ -431,21 +432,35 @@ TASKS = ("intersect", "synchronized", "curve-return", "verify-example",
 _INT_KEYS = ("capM", "capN", "r", "s", "a", "b", "p", "nmax", "pmax",
              "denomBound", "degreeBudget", "tauBudget")
 
+# scenario keys that set a Scenario field of the same meaning
+_LIMIT_KEYS = {"capM": "cap_m", "capN": "cap_n",
+               "degreeBudget": "degree_budget", "tauBudget": "tau_budget",
+               "denomBound": "denominator_bound"}
 
+
+@dataclass(frozen=True)
 class Scenario:
     """A validated unit of work read from one scenario file."""
 
-    __slots__ = ("spec", "ext", "task", "f", "g", "alpha", "beta", "curve",
-                 "cap_m", "cap_n", "degree_budget", "tau_budget",
-                 "target_error", "denominator_bound", "prune", "example",
-                 "params", "expect", "echo")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            object.__setattr__(self, name, kw[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scenario is immutable")
+    task: str
+    spec: Optional[FieldSpec] = None
+    ext: Optional[ExtRing] = None
+    f: Union[DynPoly, TwistedPoly, None] = None
+    g: Union[DynPoly, TwistedPoly, None] = None
+    alpha: Union[RatFunc, ExtElem, None] = None
+    beta: Union[RatFunc, ExtElem, None] = None
+    curve: Optional[PlaneCurve] = None
+    cap_m: int = 64
+    cap_n: int = 64
+    degree_budget: int = DEFAULT_DEGREE_BUDGET
+    tau_budget: int = DEFAULT_TAU_BUDGET
+    target_error: Fraction = Fraction(1, 64)
+    denominator_bound: int = 8
+    prune: bool = False
+    example: Optional[str] = None
+    params: dict = field(default_factory=dict)
+    expect: Optional[str] = None
+    echo: dict = field(default_factory=dict)
 
 
 def _split_statements(text: str):
@@ -518,7 +533,10 @@ def parse_scenario(text: str) -> Scenario:
             if ints[key] < 0:
                 raise ValidationError(key, f"'{key}' must be nonnegative")
 
-    target_error = Fraction(1, 64)
+    common = {name: ints[key] for key, name in _LIMIT_KEYS.items()
+              if key in ints}
+    common.update(task=task, expect=raw.get("expect"),
+                  echo=dict(sorted(raw.items())))
     if "targetError" in raw:
         try:
             target_error = Fraction(raw["targetError"])
@@ -528,30 +546,20 @@ def parse_scenario(text: str) -> Scenario:
                 from None
         if target_error <= 0:
             raise ValidationError("targetError", "targetError must be > 0")
+        common["target_error"] = target_error
 
-    prune = False
     if "prune" in raw:
         flag = raw["prune"].lower()
         if flag not in ("on", "off", "true", "false"):
             raise ValidationError("prune", f"bad value {raw['prune']!r}; "
                                   "expected on/off")
-        prune = flag in ("on", "true")
+        common["prune"] = flag in ("on", "true")
 
     if task == "verify-example":
         example = _require(raw, "example")
         params = {k: v for k, v in ints.items()
                   if k in ("p", "r", "nmax", "pmax", "capM", "capN")}
-        return Scenario(spec=None, ext=None, task=task, f=None, g=None,
-                        alpha=None, beta=None, curve=None,
-                        cap_m=ints.get("capM", 64), cap_n=ints.get("capN", 64),
-                        degree_budget=ints.get("degreeBudget",
-                                               DEFAULT_DEGREE_BUDGET),
-                        tau_budget=ints.get("tauBudget", DEFAULT_TAU_BUDGET),
-                        target_error=target_error,
-                        denominator_bound=ints.get("denomBound", 8),
-                        prune=prune, example=example, params=params,
-                        expect=raw.get("expect"),
-                        echo=dict(sorted(raw.items())))
+        return Scenario(example=example, params=params, **common)
 
     try:
         spec = FieldSpec.parse(_require(raw, "field"))
@@ -598,16 +606,8 @@ def parse_scenario(text: str) -> Scenario:
             if ints.get(key, 1) < 1:
                 raise ValidationError(key, f"'{key}' must be >= 1")
 
-    return Scenario(spec=spec, ext=ext, task=task, f=f, g=g, alpha=alpha,
-                    beta=beta, curve=curve,
-                    cap_m=ints.get("capM", 64), cap_n=ints.get("capN", 64),
-                    degree_budget=ints.get("degreeBudget",
-                                           DEFAULT_DEGREE_BUDGET),
-                    tau_budget=ints.get("tauBudget", DEFAULT_TAU_BUDGET),
-                    target_error=target_error,
-                    denominator_bound=ints.get("denomBound", 8),
-                    prune=prune, example=None,
+    return Scenario(spec=spec, ext=ext, f=f, g=g, alpha=alpha, beta=beta,
+                    curve=curve,
                     params={k: ints[k] for k in ("r", "s", "a", "b")
                             if k in ints},
-                    expect=raw.get("expect"),
-                    echo=dict(sorted(raw.items())))
+                    **common)

@@ -22,7 +22,7 @@ import operator
 from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
-from .field import FieldSpec, power
+from .field import FieldSpec, Frozen, power
 from .funcfield import (ExtElem, ExtRing, KRing, RatFunc, format_terms,
                         sparse_mul)
 
@@ -34,16 +34,13 @@ Ring = Union[KRing, ExtRing]
 Scalar = Union[RatFunc, ExtElem]
 
 
-class TwistedPoly:
+class TwistedPoly(Frozen):
     __slots__ = ("ring", "coeffs", "_hash")
 
     def __init__(self, ring: Ring, coeffs: tuple):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TwistedPoly is immutable")
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "TwistedPoly":

@@ -120,15 +120,12 @@ def test_multiple_scenarios_preserve_order(tmp_path, capsys):
     assert [r["task"] for r in runs] == ["intersect", "heights"]
 
 
-def test_jobs_flag_keeps_order(tmp_path, capsys):
-    a = write(tmp_path, "a.txt", QUADRATIC)
-    b = write(tmp_path, "b.txt",
-              "field = GF(2); f = x^2+x; alpha = t; task = heights")
-    _, seq, _ = run_cli(capsys, "--scenario", a, "--scenario", b,
-                        "--format", "json")
-    _, par, _ = run_cli(capsys, "--scenario", a, "--scenario", b,
-                        "--format", "json", "--jobs", "2")
-    assert seq == par
+def test_jobs_flag_is_rejected(tmp_path, capsys):
+    sc = write(tmp_path, "a.txt", QUADRATIC)
+    with pytest.raises(SystemExit) as info:
+        main(["--scenario", sc, "--jobs", "2"])
+    assert info.value.code == EXIT_INVALID
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_heights_report_schema(tmp_path, capsys):

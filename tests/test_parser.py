@@ -6,6 +6,7 @@ structured error types, and printing any parsed value re-parses to an
 equal value.
 """
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,8 @@ import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, RatFunc
-from fforbits.dynpoly import DynPoly, KRing
-from fforbits.twisted import TwistedPoly
+from fforbits.dynpoly import DEFAULT_DEGREE_BUDGET, DynPoly, KRing
+from fforbits.twisted import DEFAULT_TAU_BUDGET, TwistedPoly
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_expr,
                              parse_map, parse_modulus, parse_scalar,
                              parse_scenario, print_canonical)
@@ -262,11 +263,30 @@ def test_scenario_parses():
     assert sc.spec == GF2
 
 
+SCENARIO_HEADS = ("field = GF(2); f = x^2+x; alpha = t; task = heights",
+                  "example = 2.8; p = 3; nmax = 4")
+
+
 def test_scenario_defaults():
-    sc = parse_scenario("field = GF(2); f = x^2+x; alpha = t; task = heights")
-    assert sc.cap_m == 64 and sc.cap_n == 64
-    assert sc.denominator_bound == 8
-    assert not sc.prune
+    for text in SCENARIO_HEADS:
+        sc = parse_scenario(text)
+        assert sc.cap_m == 64 and sc.cap_n == 64
+        assert sc.degree_budget == DEFAULT_DEGREE_BUDGET
+        assert sc.tau_budget == DEFAULT_TAU_BUDGET
+        assert sc.target_error == Fraction(1, 64)
+        assert sc.denominator_bound == 8
+        assert not sc.prune
+
+
+@pytest.mark.parametrize("head", SCENARIO_HEADS)
+def test_scenario_limits_are_read(head):
+    sc = parse_scenario(head + "\ncapM = 5; capN = 6; degreeBudget = 7\n"
+                        "tauBudget = 8; denomBound = 9; targetError = 1/3\n"
+                        "prune = on")
+    assert (sc.cap_m, sc.cap_n, sc.degree_budget, sc.tau_budget,
+            sc.denominator_bound) == (5, 6, 7, 8, 9)
+    assert sc.target_error == Fraction(1, 3)
+    assert sc.prune
 
 
 def test_scenario_one_line_verify():
