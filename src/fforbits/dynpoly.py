@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
-from .field import FieldSpec, Frozen, binom_mod, power
+from .field import (FieldSpec, Frozen, binom_mod, dense_coeffs, power,
+                    sparse_add, sparse_divmod, sparse_mul, sparse_neg)
 from .funcfield import (ExtElem, ExtRing, FFPoly, KRing, RatFunc,
-                        format_terms, kx_eval, kx_gcd, kx_trim, sparse_add,
-                        sparse_mul)
+                        format_terms)
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
 DEFAULT_ROOT_HEIGHT = 8
@@ -152,7 +152,7 @@ class DynPoly(Frozen):
         return DynPoly(self.ring, sparse_add(self.terms, other.terms))
 
     def __neg__(self) -> "DynPoly":
-        return DynPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return DynPoly(self.ring, sparse_neg(self.terms))
 
     def __sub__(self, other: "DynPoly") -> "DynPoly":
         return self + (-other)
@@ -517,27 +517,27 @@ def conjugate_to_additive(f: DynPoly,
     else:
         row.pop(1, None)
 
-    constraints = []
+    # G = gcd of the constraints, made monic so that it can be a modulus
+    g: dict = {}
     for j, row in bpolys.items():
         if j == 0 or not _is_p_power(j, p):
-            top = max(row) if row else -1
-            meter.charge(top + 1)
-            dense = [row.get(i, zero) for i in range(top + 1)]
-            constraints.append(kx_trim(dense))
-
-    g = []
-    for c in constraints:
-        g = kx_gcd(g, c, spec) if g else kx_trim(list(c))
+            meter.charge(max(row) + 1 if row else 0)
+            while row:
+                g, row = row, sparse_divmod(g, row)[1]
     if not g:
         mu = LinearMap.identity(f.ring)
         return AdditiveConjugacy(mu, f, False)
-    if len(g) == 1:
+    top = max(g)
+    if not top:
         return None
+    inv = g[top].inverse()
+    g = {e: c * inv for e, c in g.items()}
+    root_test = DynPoly(f.ring, g)
     for beta in k_candidates(spec, height_bound, max_candidates):
-        if not kx_eval(g, beta, spec):
+        if not root_test.evaluate(beta):
             mu = LinearMap.shift(f.ring, beta)
             return AdditiveConjugacy(mu, conjugate(f, mu, budget), False)
-    ext = ExtRing(spec, g)
+    ext = ExtRing(spec, dense_coeffs(g, top + 1, zero))
     mu = LinearMap.shift(ext, ext.y())
     return AdditiveConjugacy(mu, conjugate(f, mu, budget), True)
 

@@ -1,4 +1,5 @@
-"""Arithmetic in GF(p) and GF(p^r), and base-p binomial residues.
+"""Arithmetic in GF(p) and GF(p^r), the sparse polynomial kernels, the one
+power routine, and base-p binomial residues.
 
 A FieldSpec pins down the field: the characteristic p (a prime that fits in
 a machine word), the extension degree r, and for r > 1 a monic degree-r
@@ -9,13 +10,21 @@ residues, so equal elements are structurally equal.
 The modulus is trusted to be irreducible.  That is never verified up front;
 if it is reducible, some inversion will eventually meet a nontrivial common
 factor and raise ReducibleModulus carrying the factor found.
+
+Every polynomial ring of the package (GF(p)[w] behind GF(p^r), F_q[t],
+K[y] behind K[y]/(M), and the maps in x) shares one set of kernels on
+sparse polynomials: a dict from exponent to nonzero coefficient.
+sparse_add, sparse_neg, sparse_mul, sparse_divmod and sparse_xgcd take the
+modulus p of the coefficients: with p they are ints reduced mod p, with
+p = 0 they are values that bring their own arithmetic (FieldElem, RatFunc,
+ExtElem) and have is_one() and inverse().
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DivisionByZero, ParseError, ReducibleModulus, RingMismatch
 
@@ -44,66 +53,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# dense polynomials over GF(p) as int lists (ascending), used only for the
-# modulus arithmetic behind FieldElem
-
-
-def _ptrim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for j, bj in enumerate(b):
-        out[j] = (out[j] - bj) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    rem = list(a)
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b) and rem:
-        shift = len(rem) - len(b)
-        c = rem[-1] * inv_lead % p
-        quo[shift] = c
-        for j, bj in enumerate(b):
-            if bj:
-                rem[shift + j] = (rem[shift + j] - c * bj) % p
-        _ptrim(rem)
-    return _ptrim(quo), rem
-
-
-def _pxgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    # returns (g, u, v) with u*a + v*b = g, g not normalized
-    r0, r1 = list(a), list(b)
-    u0, u1 = [1], []
-    v0, v1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _psub(u0, _pmul(q, u1, p), p)
-        v0, v1 = v1, _psub(v0, _pmul(q, v1, p), p)
-    return r0, u0, v0
 
 
 class Frozen:
@@ -138,7 +87,7 @@ class FieldSpec(Frozen):
     arithmetic can run on plain ints, and 0 otherwise.
     """
 
-    __slots__ = ("p", "r", "modulus", "generator", "int_p", "_hash")
+    __slots__ = ("p", "r", "modulus", "generator", "int_p", "_hash", "_mod")
 
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] = (),
                  generator: str = "w"):
@@ -159,6 +108,7 @@ class FieldSpec(Frozen):
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "int_p", p if r == 1 else 0)
         object.__setattr__(self, "_hash", hash((p, r, modulus)))
+        object.__setattr__(self, "_mod", sparse_terms(modulus))
 
     def __reduce__(self):
         return FieldSpec, (self.p, self.r, self.modulus, self.generator)
@@ -322,6 +272,9 @@ class FieldElem(Frozen):
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
+    def is_one(self) -> bool:
+        return self.coeffs[0] == 1 and self.in_prime_field()
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldElem) and self.spec == other.spec
                 and self.coeffs == other.coeffs)
@@ -351,9 +304,10 @@ class FieldElem(Frozen):
         p = spec.p
         if spec.r == 1:
             return FieldElem(spec, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = _pmul(self.coeffs, other.coeffs, p)
-        _, rem = _pdivmod(prod, spec.modulus, p)
-        return spec.elem(rem)
+        prod = sparse_mul(sparse_terms(self.coeffs),
+                          sparse_terms(other.coeffs), p)
+        rem = sparse_divmod(prod, spec._mod, p)[1]
+        return FieldElem(spec, dense_coeffs(rem, spec.r, 0))
 
     def inverse(self) -> "FieldElem":
         if not self:
@@ -362,13 +316,13 @@ class FieldElem(Frozen):
         p = spec.p
         if spec.r == 1:
             return FieldElem(spec, (pow(self.coeffs[0], p - 2, p),))
-        g, u, _ = _pxgcd(_ptrim(list(self.coeffs)), spec.modulus, p)
-        if len(g) != 1:
+        g, u = sparse_xgcd(sparse_terms(self.coeffs), spec._mod, 1, p)
+        if max(g):
             raise ReducibleModulus(
-                f"modulus shares factor of degree {len(g) - 1} "
+                f"modulus shares factor of degree {max(g)} "
                 f"with {self}; field spec is invalid")
-        scale = pow(g[0], p - 2, p)
-        return spec.elem([c * scale % p for c in u])
+        u = sparse_mul({0: pow(g[0], p - 2, p)}, u, p)
+        return FieldElem(spec, dense_coeffs(u, spec.r, 0))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -466,6 +420,120 @@ def power(x, n: int, mul: Callable, frobenius: Optional[Callable] = None,
             out = mul(frobenius(out, k), digit_power(d))
             k = 0
     return frobenius(out, k) if k else out
+
+
+def sparse_terms(coeffs: Iterable) -> dict:
+    """A coefficient vector, lowest degree first, as a sparse dict."""
+    return {i: c for i, c in enumerate(coeffs) if c}
+
+
+def dense_coeffs(terms: dict, n: int, zero) -> tuple:
+    """The coefficients of degree below n of a sparse dict, lowest first."""
+    return tuple([terms.get(i, zero) for i in range(n)])
+
+
+def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
+    """Sum of two canonical exponent -> coefficient dicts (no zero values)."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if p:
+                s %= p
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def sparse_neg(a: dict, p: int = 0) -> dict:
+    if p:
+        return {e: p - c for e, c in a.items()}
+    return {e: -c for e, c in a.items()}
+
+
+def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
+    """Product of two canonical exponent -> coefficient dicts.
+
+    Products are summed raw and reduced mod p (or dropped when zero) once
+    at the end.  A one-term operand only shifts and scales the other; a
+    product of nonzero values may still vanish there, because an extension
+    ring can have zero divisors.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        if p:
+            return {e1 + e: c1 * c % p for e, c in b.items()}
+        return {e1 + e: v for e, c in b.items() if (v := c1 * c)}
+    out: dict = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    if p:
+        return {e: v for e, s in out.items() if (v := s % p)}
+    return {e: s for e, s in out.items() if s}
+
+
+def sparse_divmod(a: dict, b: dict, p: int = 0) -> tuple:
+    """(q, r) with a = q*b + r and deg r < deg b, by long division.
+
+    Beware: a huge sparse dividend over a small divisor has a dense
+    quotient.  Each step cancels the leading term of the remainder exactly,
+    so the next leading degree is one lower whenever that term is present;
+    the remainder is rescanned only when it is not.
+    """
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    db = max(b)
+    lead = b[db]
+    monic = lead == 1 if p else lead.is_one()
+    inv_lead = None if monic else pow(lead, p - 2, p) if p else lead.inverse()
+    tail = dict(b)
+    del tail[db]
+    quo: dict = {}
+    rem = dict(a)
+    da = max(rem) if rem else -1
+    while da >= db:
+        c = rem.pop(da)
+        if inv_lead is not None:
+            c = c * inv_lead % p if p else c * inv_lead
+        shift = da - db
+        quo[shift] = c
+        for e, bc in tail.items():
+            e += shift
+            s = rem.get(e)
+            s = -(c * bc) if s is None else s - c * bc
+            if p:
+                s %= p
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+        da -= 1
+        if da not in rem:
+            da = max(rem) if rem else -1
+    return quo, rem
+
+
+def sparse_xgcd(a: dict, b: dict, one, p: int = 0) -> tuple:
+    """(g, u) with u*a = g mod b and g a gcd of a and b, not made monic;
+    one is the unit of the coefficients."""
+    r0, r1 = a, b
+    u0, u1 = {0: one}, {}
+    while r1:
+        q, r = sparse_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        u0, u1 = u1, sparse_add(u0, sparse_neg(sparse_mul(q, u1, p), p), p)
+    return r0, u0
 
 
 def binom_mod(m: int, i: int, p: int) -> int:

@@ -1,6 +1,6 @@
 """The rational function field K = GF(q)(t) and finite extensions of it.
 
-Polynomials in t are kept sparse: a dict from exponent to nonzero
+Polynomials in t (FFPoly) are kept sparse: a dict from exponent to nonzero
 coefficient, with arbitrary-precision exponents.  Over a prime field GF(p)
 a coefficient is a plain int residue in [1, p); over GF(p^r) with r > 1 it
 is a FieldElem.  Orbit computations routinely produce things like
@@ -12,10 +12,12 @@ Rational functions are kept in the canonical reduced form: denominator monic
 and coprime to the numerator.  Two equal values are structurally equal, so
 __eq__ and __hash__ are structural and any element can key a dict.
 
-ExtRing models K[y]/(M(y)) for a monic M over K.  The modulus is not checked
-for irreducibility; inverting an element that shares a factor with M raises
-ZeroDivisor, which is exactly how a reducible modulus eventually announces
-itself.
+ExtRing models K[y]/(M(y)) for a monic M over K.  An element keeps its
+coefficient vector below deg M; products and inverses go through the same
+sparse kernels of field as FFPoly does, with RatFunc coefficients in y.
+The modulus is not checked for irreducibility; inverting an element that
+shares a factor with M raises ZeroDivisor, which is exactly how a
+reducible modulus eventually announces itself.
 """
 
 from __future__ import annotations
@@ -25,59 +27,13 @@ from typing import Iterable, Optional, Sequence, Union
 import operator
 
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
-from .field import FieldElem, FieldSpec, Frozen, power
+from .field import (FieldElem, FieldSpec, Frozen, dense_coeffs, power,
+                    sparse_add, sparse_divmod, sparse_mul, sparse_neg,
+                    sparse_terms, sparse_xgcd)
 
 # long division is fine when the dividend's degree overhangs the divisor by
 # at most this much; beyond it, reduce term-by-term via pow-mod of t
 _GAP_FOR_POWMOD = 64
-
-
-# The sparse kernels below take the modulus p of the values: with p they
-# are ints reduced mod p, with p = 0 they bring their own arithmetic
-# (FieldElem, RatFunc, ExtElem).
-def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
-    """Sum of two canonical exponent -> coefficient dicts (no zero values)."""
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if p:
-                s %= p
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
-    """Product of two canonical exponent -> coefficient dicts.
-
-    Products are summed raw and reduced mod p (or dropped when zero) once
-    at the end.  A one-term operand only shifts and scales the other; a
-    product of nonzero values may still vanish there, because an extension
-    ring can have zero divisors.
-    """
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        (e1, c1), = a.items()
-        if p:
-            return {e1 + e: c1 * c % p for e, c in b.items()}
-        return {e1 + e: v for e, c in b.items() if (v := c1 * c)}
-    out: dict = {}
-    get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = get(e)
-            out[e] = c1 * c2 if s is None else s + c1 * c2
-    if p:
-        return {e: v for e, s in out.items() if (v := s % p)}
-    return {e: s for e, s in out.items() if s}
 
 
 def _coeff(spec: FieldSpec, c) -> Union[int, FieldElem]:
@@ -199,10 +155,7 @@ class FFPoly(Frozen):
                                             self.spec.int_p))
 
     def __neg__(self) -> "FFPoly":
-        p = self.spec.int_p
-        if p:
-            return FFPoly(self.spec, {e: p - c for e, c in self.terms.items()})
-        return FFPoly(self.spec, {e: -c for e, c in self.terms.items()})
+        return FFPoly(self.spec, sparse_neg(self.terms, self.spec.int_p))
 
     def __sub__(self, other: "FFPoly") -> "FFPoly":
         return self + (-other)
@@ -241,32 +194,7 @@ class FFPoly(Frozen):
         """Long division; beware: a huge sparse dividend over a small
         divisor has a dense quotient.  Use % for remainders."""
         self._check(other)
-        if not other:
-            raise DivisionByZero("polynomial division by zero")
-        p = self.spec.int_p
-        db = other.degree
-        inv_lead = _inverse(other.terms[db], p)
-        quo: dict = {}
-        rem = dict(self.terms)
-        while rem:
-            da = max(rem)
-            if da < db:
-                break
-            c = rem[da] * inv_lead
-            if p:
-                c %= p
-            shift = da - db
-            quo[shift] = c
-            for e, b in other.terms.items():
-                ee = e + shift
-                s = rem.get(ee)
-                s = -(c * b) if s is None else s - c * b
-                if p:
-                    s %= p
-                if s:
-                    rem[ee] = s
-                else:
-                    del rem[ee]
+        quo, rem = sparse_divmod(self.terms, other.terms, self.spec.int_p)
         return FFPoly(self.spec, quo), FFPoly(self.spec, rem)
 
     def __mod__(self, other: "FFPoly") -> "FFPoly":
@@ -524,110 +452,13 @@ def weil_height(value: Union[RatFunc, FFPoly]) -> int:
     return value.height()
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over K as coefficient lists (ascending RatFunc entries);
-# shared by the extension-ring arithmetic and the shift-parameter search in
-# dynpoly
-
-
-def kx_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def kx_mul(a: Sequence[RatFunc], b: Sequence[RatFunc], spec: FieldSpec) -> list:
-    if not a or not b:
-        return []
-    out = [RatFunc.zero(spec)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-    return kx_trim(out)
-
-
-def kx_add(a: Sequence[RatFunc], b: Sequence[RatFunc], spec: FieldSpec) -> list:
-    n = max(len(a), len(b))
-    zero = RatFunc.zero(spec)
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
-    return kx_trim(out)
-
-
-def kx_neg(a: Sequence[RatFunc]) -> list:
-    return [-c for c in a]
-
-
-def kx_divmod(a: Sequence[RatFunc], b: Sequence[RatFunc],
-              spec: FieldSpec) -> tuple:
-    b = kx_trim(list(b))
-    if not b:
-        raise DivisionByZero("division by the zero polynomial over K")
-    inv_lead = b[-1].inverse()
-    rem = list(a)
-    kx_trim(rem)
-    quo = [RatFunc.zero(spec)] * max(0, len(rem) - len(b) + 1)
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
-        shift = len(rem) - len(b)
-        quo[shift] = quo[shift] + c
-        for j, bj in enumerate(b):
-            if bj:
-                rem[shift + j] = rem[shift + j] - c * bj
-        rem.pop()  # leading term cancels exactly
-        kx_trim(rem)
-    return kx_trim(quo), rem
-
-
-def kx_gcd(a: Sequence[RatFunc], b: Sequence[RatFunc], spec: FieldSpec) -> list:
-    a, b = kx_trim(list(a)), kx_trim(list(b))
-    while b:
-        _, r = kx_divmod(a, b, spec)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def kx_xgcd(a: Sequence[RatFunc], b: Sequence[RatFunc], spec: FieldSpec) -> tuple:
-    """(g, u, v) with u*a + v*b = g; g monic when nonzero."""
-    one = RatFunc.one(spec)
-    r0, r1 = kx_trim(list(a)), kx_trim(list(b))
-    u0, u1 = [one], []
-    v0, v1 = [], [one]
-    while r1:
-        q, r = kx_divmod(r0, r1, spec)
-        r0, r1 = r1, r
-        u0, u1 = u1, kx_add(u0, kx_neg(kx_mul(q, u1, spec)), spec)
-        v0, v1 = v1, kx_add(v0, kx_neg(kx_mul(q, v1, spec)), spec)
-    if r0:
-        inv = r0[-1].inverse()
-        r0 = [c * inv for c in r0]
-        u0 = [c * inv for c in u0]
-        v0 = [c * inv for c in v0]
-    return r0, u0, v0
-
-
-def kx_eval(a: Sequence[RatFunc], x: RatFunc, spec: FieldSpec) -> RatFunc:
-    acc = RatFunc.zero(spec)
-    for c in reversed(list(a)):
-        acc = acc * x + c
-    return acc
-
-
 class ExtRing(Frozen):
     """K[y]/(M(y)) for a monic M of degree >= 1 over K.
 
     Doubles as the coefficient-ring handle used by DynPoly and TwistedPoly.
     """
 
-    __slots__ = ("spec", "modulus", "generator", "_hash", "_frob_gen")
+    __slots__ = ("spec", "modulus", "generator", "_hash", "_frob_gen", "_mod")
 
     def __init__(self, spec: FieldSpec, modulus: Sequence[RatFunc],
                  generator: str = "y"):
@@ -641,6 +472,7 @@ class ExtRing(Frozen):
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hash", hash((spec, modulus)))
         object.__setattr__(self, "_frob_gen", None)
+        object.__setattr__(self, "_mod", sparse_terms(modulus))
 
     def frobenius_of_generator(self) -> "ExtElem":
         """The reduction of y^p, cached; p-th powers are semilinear over it."""
@@ -654,12 +486,15 @@ class ExtRing(Frozen):
         return len(self.modulus) - 1
 
     def elem(self, coeffs: Iterable[RatFunc]) -> "ExtElem":
-        cs = kx_trim(list(coeffs))
-        if len(cs) > self.degree:
+        return self.from_terms(sparse_terms(coeffs))
+
+    def from_terms(self, terms: dict) -> "ExtElem":
+        """The element sum of c * y^e over terms, with every e below the
+        degree."""
+        if terms and max(terms) >= self.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        zero = RatFunc.zero(self.spec)
-        cs = cs + [zero] * (self.degree - len(cs))
-        return ExtElem(self, tuple(cs))
+        return ExtElem(self, dense_coeffs(terms, self.degree,
+                                          RatFunc.zero(self.spec)))
 
     def from_K(self, value: RatFunc) -> "ExtElem":
         return self.elem([value])
@@ -748,32 +583,21 @@ class ExtElem(Frozen):
     def __mul__(self, other: "ExtElem") -> "ExtElem":
         self._check(other)
         ring = self.ring
-        spec = ring.spec
-        prod = kx_mul(list(self.coeffs), list(other.coeffs), spec)
-        # reduce by the monic modulus, top down
-        s = ring.degree
-        mod = ring.modulus
-        while len(prod) > s:
-            c = prod.pop()
-            if not c:
-                continue
-            shift = len(prod) - s
-            for j in range(s):
-                if mod[j]:
-                    prod[shift + j] = prod[shift + j] - c * mod[j]
-        return ring.elem(prod)
+        prod = sparse_mul(sparse_terms(self.coeffs), sparse_terms(other.coeffs))
+        return ring.from_terms(sparse_divmod(prod, ring._mod)[1])
 
     def inverse(self) -> "ExtElem":
         if not self:
             raise DivisionByZero("inverse of zero in extension ring")
         ring = self.ring
-        g, u, _ = kx_xgcd(list(self.coeffs), list(ring.modulus), ring.spec)
-        if len(g) != 1:
+        g, u = sparse_xgcd(sparse_terms(self.coeffs), ring._mod,
+                           RatFunc.one(ring.spec))
+        if max(g):
             raise ZeroDivisor(
-                f"{self} is a zero divisor: shares a degree-{len(g) - 1} "
+                f"{self} is a zero divisor: shares a degree-{max(g)} "
                 f"factor with the modulus")
         inv = g[0].inverse()
-        return ring.elem([c * inv for c in u])
+        return ring.from_terms({e: c * inv for e, c in u.items()})
 
     def __truediv__(self, other: "ExtElem") -> "ExtElem":
         return self * other.inverse()

@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple, Union
 
 from .errors import (DegreeBudgetExceeded, MixedVariables, ParseError,
                      UndefinedSymbol, ValidationError)
-from .field import FieldSpec
-from .funcfield import ExtElem, ExtRing, KRing, RatFunc, kx_trim
+from .field import FieldSpec, dense_coeffs, power
+from .funcfield import ExtElem, ExtRing, KRing, RatFunc
 from .dynpoly import (DEFAULT_DEGREE_BUDGET, DynPoly, _WorkMeter)
 from .twisted import DEFAULT_TAU_BUDGET, TwistedPoly
 from .orbits import PlaneCurve
@@ -353,14 +353,9 @@ class _Parser:
             return v.pow(n, DEFAULT_DEGREE_BUDGET)
         if k == "tw":
             return v ** n
-        out = _Bivar(self.ctx.ring, {(0, 0): self.ctx.ring.one()})
-        base = v
-        if n > 0:
-            for bit in bin(n)[2:]:
-                out = out.mul(out, self.meter)
-                if bit == "1":
-                    out = out.mul(base, self.meter)
-        return out
+        if n == 0:
+            return _Bivar(self.ctx.ring, {(0, 0): self.ctx.ring.one()})
+        return power(v, n, lambda a, b: a.mul(b, self.meter))
 
 
 def parse_expr(text: str, ctx: ParseContext):
@@ -402,7 +397,6 @@ def parse_curve(text: str, spec: FieldSpec,
 def parse_modulus(text: str, spec: FieldSpec) -> Tuple[RatFunc, ...]:
     """Parse an extension modulus in y; returns dense ascending coefficients."""
     v = parse_expr(text, ParseContext(spec, mode="modulus"))
-    kring = KRing(spec)
     if isinstance(v, (RatFunc, ExtElem)):
         raise ParseError("an extension modulus must involve y", 0)
     if not isinstance(v, DynPoly):
@@ -410,13 +404,10 @@ def parse_modulus(text: str, spec: FieldSpec) -> Tuple[RatFunc, ...]:
     d = v.degree
     if d < 1:
         raise ParseError("an extension modulus must have degree >= 1", 0)
-    dense = [kring.from_int(0)] * (d + 1)
-    for e, c in v.terms.items():
-        dense[e] = c
-    lead = dense[d]
+    lead = v.terms[d]
     if not lead.is_constant() or lead.constant_value() != spec.one():
         raise ParseError("an extension modulus must be monic", 0)
-    return tuple(kx_trim(dense))
+    return dense_coeffs(v.terms, d + 1, RatFunc.zero(spec))
 
 
 def print_canonical(value) -> str:

@@ -308,6 +308,17 @@ def test_conjugate_to_additive_needs_extension():
     assert is_additive(res.additive)
 
 
+def test_conjugate_to_additive_monic_modulus_from_one_constraint():
+    """x^3 + t over GF(3) needs a root of -b^3 + b + t, the only
+    constraint; its gcd is made monic before it becomes the modulus."""
+    f = dyn(K3, {3: 1, 0: t_of(GF3)})
+    res = conjugate_to_additive(f, height_bound=1, max_candidates=50)
+    assert res is not None
+    assert res.in_extension
+    assert res.map.ring.modulus[-1].is_one()
+    assert is_additive(res.additive)
+
+
 def test_conjugate_to_additive_impossible():
     """A cubic term on a non-p-power exponent can never be shifted away."""
     f = dyn(K2, {3: 1, 1: 1})

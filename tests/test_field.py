@@ -19,6 +19,9 @@ GF5 = FieldSpec(5)
 GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
 # x^2 + 1 over GF(3)
 GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))
+# x^3 + x + 1 over GF(2) and x^2 + x + 2 over GF(5)
+GF8 = FieldSpec(2, 3, modulus=(1, 1, 0, 1))
+GF25 = FieldSpec(5, 2, modulus=(2, 1, 1))
 
 
 def test_parse_prime_field():
@@ -82,6 +85,33 @@ def test_field_axioms_exhaustive(spec):
             for c in elems:
                 assert (a + b) + c == a + (b + c)
                 assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25], ids=str)
+def test_products_and_inverses_match_sympy(spec):
+    """Every product and every inverse against sympy's dense GF(p)[w]
+    arithmetic: gf_mul then gf_rem by the modulus, and gf_gcdex."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    p = spec.p
+    modulus = [ZZ(c) for c in reversed(spec.modulus)]
+
+    def dense(a):  # highest degree first, as galoistools takes them
+        return gt.gf_strip([ZZ(c) for c in reversed(a.coeffs)])
+
+    def elem(f):
+        return spec.elem([int(c) for c in reversed(f)])
+
+    elems = list(spec.all_elements())
+    for a in elems:
+        for b in elems:
+            want = gt.gf_rem(gt.gf_mul(dense(a), dense(b), p, ZZ), modulus,
+                             p, ZZ)
+            assert a * b == elem(want)
+        if a:
+            s, _, h = gt.gf_gcdex(dense(a), modulus, p, ZZ)
+            assert h == [1]
+            assert a.inverse() == elem(s)
 
 
 def test_division_by_zero():

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import FieldElem, FieldSpec
-from fforbits.funcfield import (ExtRing, FFPoly, RatFunc, kx_eval, kx_gcd,
-                                kx_mul, kx_xgcd, ring_of, weil_height)
+from fforbits.field import (FieldElem, FieldSpec, sparse_add, sparse_divmod,
+                            sparse_mul, sparse_neg, sparse_xgcd)
+from fforbits.funcfield import (ExtRing, FFPoly, KRing, RatFunc, ring_of,
+                                weil_height)
 from fforbits.dynpoly import DynPoly, k_candidates
 from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 
@@ -404,29 +405,76 @@ def test_ratfunc_str_parses_back():
         assert parse_scalar(str(v), ctx) == v
 
 
-# kx_* helpers: dense polynomials over K in a second variable
+# The sparse kernels on exponent -> coefficient dicts, with both kinds of
+# coefficient: ints mod p (p > 0) and RatFuncs over GF(3) (p = 0), the
+# second variable of K[y] behind the extension rings.
 
-def test_kx_xgcd_identity():
-    spec = GF3
-    t = RatFunc.t(spec)
-    one = RatFunc.one(spec)
-    a = [t, one, one + t]       # (1+t)x^2 + x + t
-    b = [one, t]                # tx + 1
-    g, u, v = kx_xgcd(a, b, spec)
-    from fforbits.funcfield import kx_add
-    lhs = kx_add(kx_mul(u, a, spec), kx_mul(v, b, spec), spec)
-    assert lhs == g
-    assert g == kx_gcd(a, b, spec)
+def sparse_strategy(coeff, max_terms=6, max_exp=9):
+    return st.dictionaries(st.integers(0, max_exp), coeff, max_size=max_terms)
 
 
-def test_kx_eval_horner():
-    spec = GF2
-    t = RatFunc.t(spec)
-    one = RatFunc.one(spec)
-    coeffs = [t, one, t + one]
-    x = t ** 2
-    want = t + x + (t + one) * x * x
-    assert kx_eval(coeffs, x, spec) == want
+def kernel_operands(n):
+    """(p, one, dicts): n sparse polynomials over one coefficient kind."""
+    ints = st.sampled_from((2, 3, 5)).flatmap(lambda p: st.tuples(
+        st.just(p), st.just(1),
+        st.tuples(*[sparse_strategy(st.integers(1, p - 1))
+                    for _ in range(n)])))
+    nonzero = ratfunc_strategy(GF3, max_deg=2).filter(bool)
+    rats = st.tuples(st.just(0), st.just(RatFunc.one(GF3)), st.tuples(
+        *[sparse_strategy(nonzero, max_terms=4, max_exp=5)
+          for _ in range(n)]))
+    return st.one_of(ints, rats)
+
+
+def sparse_sub(a, b, p):
+    return sparse_add(a, sparse_neg(b, p), p)
+
+
+@given(kernel_operands(2))
+@settings(max_examples=60, deadline=None)
+def test_sparse_divmod_identity(operands):
+    p, _, (a, b) = operands
+    if not b:
+        with pytest.raises(DivisionByZero):
+            sparse_divmod(a, b, p)
+        return
+    q, r = sparse_divmod(a, b, p)
+    assert sparse_add(sparse_mul(q, b, p), r, p) == a
+    assert not r or max(r) < max(b)
+    assert all(q.values()) and all(r.values())
+
+
+def check_xgcd(a, b, one, p):
+    """u*a = g mod b, and g divides a and b; returns g."""
+    g, u = sparse_xgcd(a, b, one, p)
+    assert g
+    assert sparse_divmod(sparse_sub(sparse_mul(u, a, p), g, p), b, p)[1] == {}
+    assert sparse_divmod(a, g, p)[1] == {}
+    assert sparse_divmod(b, g, p)[1] == {}
+    return g
+
+
+@given(kernel_operands(3))
+@settings(max_examples=60, deadline=None)
+def test_sparse_xgcd_identity(operands):
+    """Also with a common factor c multiplied in, which g then carries."""
+    p, one, (a, b, c) = operands
+    if b:
+        check_xgcd(a, b, one, p)
+    if b and c:
+        g = check_xgcd(sparse_mul(a, c, p), sparse_mul(b, c, p), one, p)
+        assert max(g) >= max(c)
+
+
+@given(coeffs=st.lists(ratfunc_strategy(GF3, max_deg=2), max_size=5),
+       x=ratfunc_strategy(GF3, max_deg=2))
+@settings(max_examples=40, deadline=None)
+def test_dynpoly_evaluate_matches_horner(coeffs, x):
+    want = RatFunc.zero(GF3)
+    for c in reversed(coeffs):
+        want = want * x + c
+    f = DynPoly.make(KRing(GF3), dict(enumerate(coeffs)))
+    assert f.evaluate(x) == want
 
 
 # Extension rings K[y]/(M)

@@ -19,8 +19,9 @@ from fforbits.twisted import DEFAULT_TAU_BUDGET, TwistedPoly
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_expr,
                              parse_map, parse_modulus, parse_scalar,
                              parse_scenario, print_canonical)
-from fforbits.errors import (AlgebraError, MixedVariables, ParseError,
-                             UndefinedSymbol, ValidationError)
+from fforbits.errors import (AlgebraError, DegreeBudgetExceeded,
+                             MixedVariables, ParseError, UndefinedSymbol,
+                             ValidationError)
 
 
 GF2 = FieldSpec(2)
@@ -132,6 +133,20 @@ def test_parse_curve():
     curve2 = parse_curve("x1^2 + t * x2 + 1", GF3)
     one = RatFunc.one(GF3)
     assert curve2.evaluate(one, one) == one + RatFunc.t(GF3) + one
+
+
+def test_curve_power_equals_repeated_product():
+    base = "(x1 + x2 + t)"
+    assert parse_curve(base + "^7", GF3) == parse_curve("*".join([base] * 7),
+                                                        GF3)
+    assert parse_curve(base + "^1", GF3) == parse_curve(base, GF3)
+    assert parse_curve(base + "^0 + x1", GF3) == parse_curve("1 + x1", GF3)
+
+
+def test_curve_power_past_the_budget_raises():
+    base = "(x1^3 + x2^3 + x1^2*x2 + x1*x2^2 + x1^2 + x2^2 + x1*x2 + x1 + x2 + t)"
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_curve(base + "^1000000", GF3)
 
 
 def test_curve_vars_rejected_outside_curve_mode():
