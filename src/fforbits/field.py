@@ -17,7 +17,9 @@ sparse polynomials: a dict from exponent to nonzero coefficient.
 sparse_add, sparse_neg, sparse_mul, sparse_divmod and sparse_xgcd take the
 modulus p of the coefficients: with p they are ints reduced mod p, with
 p = 0 they are values that bring their own arithmetic (FieldElem, RatFunc,
-ExtElem) and have is_one() and inverse().
+ExtElem) and have is_one() and inverse().  Over GF(p), sparse_mul multiplies
+dense operands as one product of two ints (Kronecker substitution), exact
+because no slot of that product can carry into the next (see sparse_mul).
 """
 
 from __future__ import annotations
@@ -432,6 +434,12 @@ def dense_coeffs(terms: dict, n: int, zero) -> tuple:
     return tuple([terms.get(i, zero) for i in range(n)])
 
 
+# sparse_mul packs from this many terms on each side (below, the schoolbook
+# loop is as fast) while an operand spans at most this many exponents per term
+_PACK_TERMS = 16
+_PACK_SPAN = 2
+
+
 def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
     """Sum of two canonical exponent -> coefficient dicts (no zero values)."""
     out = dict(a)
@@ -463,6 +471,14 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
     at the end.  A one-term operand only shifts and scales the other; a
     product of nonzero values may still vanish there, because an extension
     ring can have zero divisors.
+
+    Over GF(p), when both operands have at least _PACK_TERMS terms spread
+    over at most _PACK_SPAN exponents per term, each is packed from its
+    lowest exponent up into one int with a w-byte slot per exponent, and
+    the ints are multiplied (squared when a is b).  A slot of the product
+    sums at most min(len a, len b) products below p^2, so w bytes that hold
+    (p-1)^2 * min(len a, len b) never carry and each slot, reduced mod p,
+    is one coefficient.
     """
     if len(b) == 1:
         a, b = b, a
@@ -471,6 +487,23 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
         if p:
             return {e1 + e: c1 * c % p for e, c in b.items()}
         return {e1 + e: v for e, c in b.items() if (v := c1 * c)}
+    n = min(len(a), len(b))
+    if p and n >= _PACK_TERMS:
+        lo_a, lo_b = min(a), min(b)
+        span_a, span_b = max(a) - lo_a, max(b) - lo_b
+        if span_a <= _PACK_SPAN * len(a) and span_b <= _PACK_SPAN * len(b):
+            w = ((p - 1) ** 2 * n).bit_length() + 7 >> 3
+
+            def pack(t, lo, span):
+                return int.from_bytes(b"".join([
+                    t.get(e, 0).to_bytes(w, "little")
+                    for e in range(lo, lo + span + 1)]), "little")
+            x = pack(a, lo_a, span_a)
+            x = x * x if a is b else x * pack(b, lo_b, span_b)
+            raw = x.to_bytes(w * (span_a + span_b + 1), "little")
+            lo = lo_a + lo_b
+            return {lo + i // w: v for i in range(0, len(raw), w)
+                    if (v := int.from_bytes(raw[i:i + w], "little") % p)}
     out: dict = {}
     get = out.get
     for e1, c1 in a.items():

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import (FieldElem, FieldSpec, sparse_add, sparse_divmod,
-                            sparse_mul, sparse_neg, sparse_xgcd)
+from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
+                            sparse_add, sparse_divmod, sparse_mul, sparse_neg,
+                            sparse_xgcd)
 from fforbits.funcfield import (ExtRing, FFPoly, KRing, RatFunc, ring_of,
                                 weil_height)
 from fforbits.dynpoly import DynPoly, k_candidates
@@ -24,6 +25,7 @@ GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
 GF5 = FieldSpec(5)
 GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))
 GF31 = FieldSpec(31)
+GF_BIG = FieldSpec(2 ** 31 - 1)  # product slots wider than 8 bytes
 PRIME_FIELDS = (GF2, GF3, GF5, GF31)
 FIELDS = PRIME_FIELDS + (GF4, GF9)
 
@@ -60,6 +62,20 @@ def ffpoly_tuples(fields, n, max_deg=6, max_exp=None):
     """n polynomials over one field drawn from fields."""
     return st.sampled_from(fields).flatmap(lambda spec: st.tuples(
         *[ffpoly_strategy(spec, max_deg, max_exp) for _ in range(n)]))
+
+
+@st.composite
+def packable_terms(draw, p, max_terms=3 * _PACK_TERMS, lows=(0, 1, 5, 40)):
+    """A canonical dict of n terms over GF(p) spanning span + 1
+    exponents from lo up, with n on both sides of _PACK_TERMS and span on
+    both sides of _PACK_SPAN * n, so that sparse_mul packs some products
+    and multiplies others term by term."""
+    n = draw(st.integers(_PACK_TERMS - 2, max_terms))
+    span = draw(st.integers(n - 1, (_PACK_SPAN + 1) * n))
+    lo = draw(st.sampled_from(lows))
+    inner = draw(st.permutations(range(1, span)))[:n - 2]
+    coeffs = draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    return dict(zip([lo, lo + span] + [lo + e for e in inner], coeffs))
 
 
 def ratfunc_strategy(spec, max_deg=4):
@@ -206,31 +222,58 @@ def to_sympy(a):
     return sympy.Poly.from_dict(terms, t, modulus=a.spec.p)
 
 
-def from_sympy(spec, f, monic=False):
-    out = poly(spec, {e: int(c) for (e,), c in f.terms()})
-    if monic and out:
-        out = out.scale(out.leading_coeff().inverse())
-    return out
+def from_sympy(spec, f):
+    return poly(spec, {e: int(c) for (e,), c in f.terms()})
 
 
-@given(abc=st.sampled_from(PRIME_FIELDS).flatmap(lambda spec: st.tuples(
-           ffpoly_strategy(spec, max_exp=300), ffpoly_strategy(spec, max_exp=40),
-           ffpoly_strategy(spec))),
+def sympy_gcd(spec, f, g):
+    """The monic gcd by sympy's Euclid on dense GF(p) lists, which on the
+    dense operands below is far faster than Poly.gcd's subresultants."""
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    p = spec.p
+
+    def dense(h):
+        return gt.gf_strip([int(c) % p for c in h.all_coeffs()])
+    return poly(spec, dict(enumerate(reversed(
+        gt.gf_gcd(dense(f), dense(g), p, ZZ)))))
+
+
+def sparse_triple(spec):
+    return st.tuples(ffpoly_strategy(spec, max_exp=300),
+                     ffpoly_strategy(spec, max_exp=40), ffpoly_strategy(spec))
+
+
+def packable_triple(spec):
+    """a of up to 6 * _PACK_TERMS terms, so that a * b also has very
+    unequal lengths, b on both sides of the thresholds, c small."""
+    def dense(max_terms):
+        return packable_terms(spec.p, max_terms).map(lambda d: poly(spec, d))
+    return st.tuples(dense(6 * _PACK_TERMS), dense(2 * _PACK_TERMS),
+                     ffpoly_strategy(spec))
+
+
+@given(abc=st.sampled_from(PRIME_FIELDS + (GF_BIG,)).flatmap(
+           lambda spec: st.one_of(sparse_triple(spec), packable_triple(spec))),
        n=st.integers(min_value=0, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_ffpoly_matches_sympy(abc, n):
-    """+, -, *, divmod, % (on both sides of the pow-mod gap), gcd and **
-    over GF(p) against sympy's Poly(..., modulus=p)."""
+    """+, -, *, squaring, divmod, % (on both sides of the pow-mod gap), gcd
+    and ** over GF(p) against sympy's Poly(..., modulus=p), for sparse
+    operands and for dense ones that sparse_mul packs into one int."""
     a, b, c = abc
     spec = a.spec
     sa, sb, sc = to_sympy(a), to_sympy(b), to_sympy(c)
     assert a + b == from_sympy(spec, sa + sb)
     assert a - b == from_sympy(spec, sa - sb)
     assert a * b == from_sympy(spec, sa * sb)
+    assert b * a == from_sympy(spec, sa * sb)
+    assert b * b == from_sympy(spec, sb * sb)
+    assert_canonical(a * b)
+    assert_canonical(b * b)
     assert b ** n == from_sympy(spec, sb ** n)
-    assert a.gcd(b) == from_sympy(spec, sa.gcd(sb), monic=True)
-    assert (a * c).gcd(b * c) == from_sympy(spec, (sa * sc).gcd(sb * sc),
-                                            monic=True)
+    assert a.gcd(b) == sympy_gcd(spec, sa, sb)
+    assert (a * c).gcd(b * c) == sympy_gcd(spec, sa * sc, sb * sc)
     if b:
         sq, sr = sa.div(sb)
         assert a.divmod(b) == (from_sympy(spec, sq), from_sympy(spec, sr))
@@ -428,6 +471,47 @@ def kernel_operands(n):
 
 def sparse_sub(a, b, p):
     return sparse_add(a, sparse_neg(b, p), p)
+
+
+HUGE = (0, 3, 2 ** 65)  # lowest exponents, one past a machine word
+
+
+def double_loop(a, b, p):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = (out.get(e1 + e2, 0) + c1 * c2) % p
+    return {e: c for e, c in out.items() if c}
+
+
+@given(st.sampled_from((2, 3, 5, 31, 2 ** 31 - 1)).flatmap(
+    lambda p: st.tuples(st.just(p), packable_terms(p, 8 * _PACK_TERMS, HUGE),
+                        packable_terms(p, lows=HUGE))))
+@settings(max_examples=60, deadline=None)
+def test_sparse_mul_matches_double_loop(operands):
+    """Packed and term-by-term products, distinct operands and a square of
+    one dict, against the schoolbook sum written out here."""
+    p, a, b = operands
+    assert sparse_mul(a, b, p) == double_loop(a, b, p)
+    assert sparse_mul(b, a, p) == double_loop(a, b, p)
+    assert sparse_mul(b, b, p) == double_loop(b, b, p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 31, 2 ** 31 - 1))
+@pytest.mark.parametrize("n", (_PACK_TERMS - 1, _PACK_TERMS, 4 * _PACK_TERMS))
+@pytest.mark.parametrize("stretch", (0, 1))
+def test_sparse_mul_at_the_packing_thresholds(p, n, stretch):
+    """Operands of n terms with every coefficient p - 1, spanning exactly
+    _PACK_SPAN * n exponents or one more, lowest exponent above 0, next to
+    a full run of 4n terms: against that run the fullest slot of a packed
+    product holds (p-1)^2 * min(len a, len b), the bound its width is
+    chosen for."""
+    span = _PACK_SPAN * n + stretch
+    a = {7 + e * span // (n - 1): p - 1 for e in range(n)}
+    assert len(a) == n and max(a) - min(a) == span
+    long = {3 + e: p - 1 for e in range(4 * n)}
+    for x, y in ((a, a), (a, dict(a)), (a, long), (long, long)):
+        assert sparse_mul(x, y, p) == double_loop(x, y, p)
 
 
 @given(kernel_operands(2))
