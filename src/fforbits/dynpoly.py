@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
-from .field import (FieldSpec, Frozen, binom_mod, dense_coeffs, power,
-                    sparse_add, sparse_divmod, sparse_mul, sparse_neg)
-from .funcfield import (ExtElem, ExtRing, FFPoly, KRing, RatFunc,
-                        format_terms)
+from .field import (FieldSpec, Frozen, binom_mod, dense_coeffs,
+                    format_terms, power, sparse_add, sparse_divmod,
+                    sparse_mul, sparse_neg)
+from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
 DEFAULT_ROOT_HEIGHT = 8
@@ -126,9 +126,6 @@ class DynPoly(Frozen):
             return self.ring.zero()
         return self.terms[max(self.terms)]
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get(0, self.ring.zero())
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, DynPoly) and self.ring == other.ring
                 and self.terms == other.terms)
@@ -167,11 +164,6 @@ class DynPoly(Frozen):
             return DynPoly.zero(self.ring)
         return DynPoly(self.ring, {e: a * c for e, a in self.terms.items()})
 
-    def frobenius_coeffs(self, k: int = 1) -> "DynPoly":
-        """Apply the p^k power map to each coefficient (exponents fixed)."""
-        return DynPoly(self.ring,
-                       {e: c.frobenius(k) for e, c in self.terms.items()})
-
     def frobenius(self, k: int = 1) -> "DynPoly":
         """self ** (p ** k): exponents times p^k, coefficients to the p^k.
 
@@ -206,9 +198,8 @@ class DynPoly(Frozen):
             return self.lift_to(point.ring).evaluate(point)
         point = _scalar_in(ring, point)
         acc = ring.zero()
-        cache: dict = {}
         for e, c in self.terms.items():
-            acc = acc + c * _point_power(point, e, cache)
+            acc = acc + c * point ** e
         return acc
 
     def compose(self, inner: "DynPoly", budget: Optional[int] = None) -> "DynPoly":
@@ -280,14 +271,6 @@ def _compose_metered(outer: DynPoly, inner: DynPoly, meter: _WorkMeter) -> DynPo
         pw = _poly_power(inner, e, meter, cache)
         out = out + pw.scale(c)
     return out
-
-
-def _point_power(point, e: int, cache: dict):
-    got = cache.get(e)
-    if got is None:
-        got = point ** e
-        cache[e] = got
-    return got
 
 
 def _poly_power(g: DynPoly, e: int, meter: _WorkMeter, cache: dict) -> DynPoly:
@@ -583,40 +566,25 @@ def k_candidates(spec: FieldSpec, height_bound: int,
     """Elements of K in deterministic order of increasing height:
     0, the nonzero constants, then per height polynomials before proper
     fractions.  Stops after max_candidates yields."""
-    budget = max_candidates
+    return itertools.islice(_k_elements(spec, height_bound), max_candidates)
+
+
+def _k_elements(spec: FieldSpec, height_bound: int) -> Iterator[RatFunc]:
     elems = list(spec.all_elements())
     nonzero = elems[1:]
-
-    def emit(v):
-        nonlocal budget
-        budget -= 1
-        return v
-
-    yield emit(RatFunc.zero(spec))
-    for c in nonzero:
-        if budget <= 0:
-            return
-        yield emit(RatFunc.constant(spec, c))
-    for h in range(1, height_bound + 1):
+    yield RatFunc.zero(spec)
+    for h in range(height_bound + 1):
         # polynomials of degree exactly h, low coefficients varying fastest
-        for lead in nonzero:
-            for rest in itertools.product(elems, repeat=h):
-                if budget <= 0:
-                    return
-                terms = dict(enumerate(rest))
-                terms[h] = lead
-                yield emit(RatFunc.from_poly(FFPoly.make(spec, terms)))
+        for num in _polys_of_degree(spec, h, elems, nonzero):
+            yield RatFunc.from_poly(num)
         # fractions with max(deg num, deg den) == h
         for dd in range(1, h + 1):
             for den in _monic_polys(spec, dd, elems, nonzero):
                 lo = h if dd < h else 0
                 for dn in range(lo, h + 1):
                     for num in _polys_of_degree(spec, dn, elems, nonzero):
-                        if budget <= 0:
-                            return
-                        if num.gcd(den).degree > 0:
-                            continue
-                        yield emit(RatFunc(num, den))
+                        if num.gcd(den).degree == 0:
+                            yield RatFunc(num, den)
 
 
 def _polys_of_degree(spec, d, elems, nonzero):

@@ -1,5 +1,6 @@
 """Arithmetic in GF(p) and GF(p^r), the sparse polynomial kernels, the one
-power routine, and base-p binomial residues.
+power routine, base-p binomial residues, and format_terms, which prints
+field elements, moduli and the maps of the other modules.
 
 A FieldSpec pins down the field: the characteristic p (a prime that fits in
 a machine word), the extension degree r, and for r > 1 a monic degree-r
@@ -169,17 +170,8 @@ class FieldSpec(Frozen):
         return f"GF({self.p}^{self.r}; mod={self._modulus_str()})"
 
     def _modulus_str(self) -> str:
-        parts = []
-        for e in range(self.r, -1, -1):
-            c = self.modulus[e] if e < len(self.modulus) else 0
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}{self.generator}" + (f"^{e}" if e > 1 else ""))
-        return "+".join(parts) or "0"
+        return format_terms(dict(enumerate(self.modulus)), self.generator,
+                            descending=True).replace(" + ", "+")
 
     def __repr__(self) -> str:
         return self.format()
@@ -359,21 +351,32 @@ class FieldElem(Frozen):
     def __str__(self) -> str:
         if self.spec.r == 1:
             return str(self.coeffs[0])
-        parts = []
-        w = self.spec.generator
-        for e in range(self.spec.r - 1, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}{w}" + (f"^{e}" if e > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        return format_terms(dict(enumerate(self.coeffs)), self.spec.generator,
+                            descending=True)
 
     def __repr__(self) -> str:
         return f"<{self} in {self.spec.format()}>"
+
+
+def format_terms(terms: dict, var: str, descending: bool) -> str:
+    """exponent -> coefficient as a sum in var; zero coefficients are
+    skipped and a coefficient printing as a sum, product or fraction is
+    parenthesized."""
+    parts = []
+    for e, c in sorted(terms.items(), reverse=descending):
+        if not c:
+            continue
+        c_str = str(c)
+        wrap = " + " in c_str or "/" in c_str or "*" in c_str
+        if e == 0:
+            parts.append(f"({c_str})" if wrap else c_str)
+            continue
+        v = var if e == 1 else f"{var}^{e}"
+        if c_str == "1":
+            parts.append(v)
+        else:
+            parts.append((f"({c_str})" if wrap else c_str) + f"*{v}")
+    return " + ".join(parts) or "0"
 
 
 def power(x, n: int, mul: Callable, frobenius: Optional[Callable] = None,

@@ -27,9 +27,9 @@ from typing import Iterable, Optional, Sequence, Union
 import operator
 
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
-from .field import (FieldElem, FieldSpec, Frozen, dense_coeffs, power,
-                    sparse_add, sparse_divmod, sparse_mul, sparse_neg,
-                    sparse_terms, sparse_xgcd)
+from .field import (FieldElem, FieldSpec, Frozen, dense_coeffs,
+                    format_terms, power, sparse_add, sparse_divmod,
+                    sparse_mul, sparse_neg, sparse_terms, sparse_xgcd)
 
 # long division is fine when the dividend's degree overhangs the divisor by
 # at most this much; beyond it, reduce term-by-term via pow-mod of t
@@ -279,27 +279,6 @@ def format_poly(poly: FFPoly, var: str) -> str:
     return " + ".join(parts)
 
 
-def format_terms(terms: dict, var: str, descending: bool) -> str:
-    """exponent -> coefficient as a sum in var; zero coefficients are
-    skipped and a coefficient printing as a sum, product or fraction is
-    parenthesized."""
-    parts = []
-    for e, c in sorted(terms.items(), reverse=descending):
-        if not c:
-            continue
-        c_str = str(c)
-        wrap = " + " in c_str or "/" in c_str or "*" in c_str
-        if e == 0:
-            parts.append(f"({c_str})" if wrap else c_str)
-            continue
-        v = var if e == 1 else f"{var}^{e}"
-        if c_str == "1":
-            parts.append(v)
-        else:
-            parts.append((f"({c_str})" if wrap else c_str) + f"*{v}")
-    return " + ".join(parts) or "0"
-
-
 class RatFunc(Frozen):
     """Canonical fraction of FFPoly: monic denominator, gcd 1."""
 
@@ -363,11 +342,6 @@ class RatFunc(Frozen):
 
     def is_poly(self) -> bool:
         return self.den.is_one()
-
-    def as_poly(self) -> FFPoly:
-        if not self.is_poly():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.is_one()
@@ -667,8 +641,3 @@ def ring_of(value) -> Union[KRing, ExtRing]:
     if isinstance(value, ExtElem):
         return value.ring
     raise TypeError(f"not a ring element: {value!r}")
-
-
-def scalar_frobenius(value, k: int = 1):
-    """value ** (p ** k) for a RatFunc or ExtElem."""
-    return value.frobenius(k)

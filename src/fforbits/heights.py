@@ -1,9 +1,10 @@
 """Weil and canonical heights over K = GF(q)(t), and the degree-growth
-sieve that prunes orbit-collision candidates.
+sieve that every orbit collision (m, n) passes.
 
 Everything here is exact: heights are integers, canonical-height estimates
-are Fractions with an explicit error bound, and the sieve inequality is
-evaluated in rational arithmetic.
+are Fractions with an explicit error bound, and the sieve inequality
+(PruningData.admits, one index pair at a time) is evaluated in rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -127,24 +128,11 @@ def rationalize(est: HeightEstimate, denominator_bound: int
 def pruned_candidates(u1: Fraction, u2: Fraction, d: int, e: int,
                       c: Fraction, cap_m: int, cap_n: int
                       ) -> List[Tuple[int, int]]:
-    """All (m, n) up to the caps with |d^m * u1 - e^n * u2| < c, in
-    lexicographic order.  Any true orbit collision satisfies the inequality
-    when u1, u2, c come from valid height data, so filtering by this list
-    never loses a collision."""
-    u1 = Fraction(u1)
-    u2 = Fraction(u2)
-    c = Fraction(c)
-    out = []
-    dm = Fraction(1)
-    for m in range(cap_m + 1):
-        left = dm * u1
-        en = Fraction(1)
-        for n in range(cap_n + 1):
-            if abs(left - en * u2) < c:
-                out.append((m, n))
-            en *= e
-        dm *= d
-    return out
+    """All (m, n) up to the caps that PruningData(u1, u2, c).admits, in
+    lexicographic order."""
+    data = PruningData(Fraction(u1), Fraction(u2), Fraction(c))
+    return [(m, n) for m in range(cap_m + 1) for n in range(cap_n + 1)
+            if data.admits(d, e, m, n)]
 
 
 def multiplicative_dependence(d: int, e: int) -> Optional[Tuple[int, int]]:
@@ -190,6 +178,12 @@ class PruningData:
     u1: Fraction
     u2: Fraction
     c: Fraction
+
+    def admits(self, d: int, e: int, m: int, n: int) -> bool:
+        """The sieve test |d^m * u1 - e^n * u2| < c for maps of degrees d, e.
+        Any true orbit collision (m, n) passes it when u1, u2, c come from
+        valid height data, so dropping the pairs that fail never loses one."""
+        return abs(d ** m * self.u1 - e ** n * self.u2) < self.c
 
 
 def derive_pruning(f: DynPoly, alpha: RatFunc, g: DynPoly, beta: RatFunc,

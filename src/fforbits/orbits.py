@@ -3,8 +3,8 @@
 The search primitives are exact and pointwise: orbits are walked by repeated
 evaluation, collisions are found by keying a dict with the points themselves
 (hash and equality are structural on canonical forms, so a dict hit is a
-structural match), and an optional height sieve restricts which index pairs
-are compared at all (never changing the answer, only the work).
+structural match), and an optional height sieve then tests each pair found;
+with sound height data it admits every true collision.
 
 fit_return_model classifies a finite slice of a return set into the shapes
 that actually occur here: arithmetic progressions {a*k + b}, geometric
@@ -23,7 +23,7 @@ from .dynpoly import DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
 from .field import Frozen
 from .funcfield import RatFunc
-from .heights import PruningData, multiplicative_dependence, pruned_candidates
+from .heights import PruningData, multiplicative_dependence
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
                      pruning: Optional[PruningData] = None) -> ReturnSet:
     """All (m, n) within the caps where the two orbits meet.
 
-    Without pruning every pair is considered via a dict over the first
-    orbit; with pruning only pairs passing the height sieve are compared.
-    Both paths compare points structurally, so the results agree.
+    Collisions are found by one dict join of the two walked orbits; with
+    pruning, only the joined pairs that the height sieve admits are kept.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("orbit intersection is for degrees >= 2")
@@ -59,22 +58,13 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
         raise RingMismatch("orbits live in different rings")
     orbit_a = orbit_prefix(f, _point(f, alpha), cap_m)
     orbit_b = orbit_prefix(g, _point(g, beta), cap_n)
-    pairs = []
-    if pruning is None:
-        index = {}
-        for m, v in enumerate(orbit_a):
-            index.setdefault(v, []).append(m)
-        for n, v in enumerate(orbit_b):
-            for m in index.get(v, ()):
-                pairs.append((m, n))
-    else:
-        allowed = pruned_candidates(pruning.u1, pruning.u2,
-                                    f.degree, g.degree, pruning.c,
-                                    cap_m, cap_n)
-        for m, n in allowed:
-            if orbit_a[m] == orbit_b[n]:
-                pairs.append((m, n))
-    pairs.sort()
+    index = {}
+    for m, v in enumerate(orbit_a):
+        index.setdefault(v, []).append(m)
+    pairs = sorted((m, n) for n, v in enumerate(orbit_b)
+                   for m in index.get(v, ())
+                   if pruning is None
+                   or pruning.admits(f.degree, g.degree, m, n))
     return ReturnSet(tuple(pairs), cap_m, cap_n, True)
 
 

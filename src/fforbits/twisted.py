@@ -22,9 +22,8 @@ import operator
 from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
-from .field import FieldSpec, Frozen, power
-from .funcfield import (ExtElem, ExtRing, KRing, RatFunc, format_terms,
-                        sparse_mul)
+from .field import FieldSpec, Frozen, format_terms, power, sparse_mul
+from .funcfield import ExtElem, ExtRing, KRing, RatFunc
 
 from .dynpoly import DynPoly, is_additive, _scalar_in
 

@@ -22,6 +22,8 @@ GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))
 # x^3 + x + 1 over GF(2) and x^2 + x + 2 over GF(5)
 GF8 = FieldSpec(2, 3, modulus=(1, 1, 0, 1))
 GF25 = FieldSpec(5, 2, modulus=(2, 1, 1))
+# x^3 + 2x + 1 over GF(3)
+GF27 = FieldSpec(3, 3, modulus=(1, 2, 0, 1))
 
 
 def test_parse_prime_field():
@@ -205,3 +207,11 @@ def test_binom_mod_pascal_recurrence():
                 lhs = binom_mod(m, i, p)
                 rhs = (binom_mod(m - 1, i, p) + binom_mod(m - 1, i - 1, p)) % p
                 assert lhs == rhs
+
+
+def test_element_and_field_strings():
+    assert [str(x) for x in GF9.all_elements()] == [
+        "0", "1", "2", "w", "w + 1", "w + 2", "2*w", "2*w + 1", "2*w + 2"]
+    assert [spec.format() for spec in (GF4, GF8, GF9, GF25, GF27)] == [
+        "GF(2^2; mod=w^2+w+1)", "GF(2^3; mod=w^3+w+1)", "GF(3^2; mod=w^2+1)",
+        "GF(5^2; mod=w^2+w+2)", "GF(3^3; mod=w^3+2*w+1)"]

@@ -164,6 +164,16 @@ def test_k_candidates_are_canonical(spec):
     assert len(set(values)) == len(values)
 
 
+def test_k_candidates_order():
+    # recorded from the hand-written enumeration this generator replaced
+    assert [str(v) for v in k_candidates(GF2, 1)] == [
+        "0", "1", "t", "t + 1", "1/t", "(t + 1)/t", "1/(t + 1)", "t/(t + 1)"]
+    assert len(list(k_candidates(GF3, 2))) == 243
+    assert len(list(k_candidates(GF4, 2))) == 1024
+    assert list(k_candidates(GF3, 2, 50)) == list(k_candidates(GF3, 2))[:50]
+    assert list(k_candidates(GF2, 1, 0)) == []
+
+
 def test_ffpoly_zero_coeffs_dropped():
     a = poly(GF3, {0: 1, 2: 0, 5: 3})
     assert set(a.terms) == {0}

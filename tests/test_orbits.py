@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from fforbits.field import FieldSpec
 from fforbits.funcfield import RatFunc
 from fforbits.dynpoly import DynPoly, KRing, orbit_element
-from fforbits.heights import derive_pruning
+from fforbits.heights import PruningData, derive_pruning, pruned_candidates
 from fforbits.orbits import (PlaneCurve, ReturnModel, ReturnSet,
                              ap_implies_common_iterate, curve_return_set,
                              detect_preperiodicity, fit_return_model,
@@ -64,6 +64,29 @@ def test_intersect_orbits_pruned_agrees_with_plain():
     plain = intersect_orbits(f, alpha, g, beta, 16, 16)
     sieved = intersect_orbits(f, alpha, g, beta, 16, 16, pruning=data)
     assert plain == sieved
+
+
+@pytest.mark.parametrize("sound", (True, False), ids=("derived", "unsound"))
+def test_intersect_orbits_pruning_keeps_the_admitted_joined_pairs(sound):
+    # with pruning the result is the unpruned pairs that lie in
+    # pruned_candidates, also for data that drops true collisions: here
+    # |2^m - 2^m * 65/64| < 1/8 holds only for m < 3
+    f, alpha, g, beta = quadratic_pair()
+    cap = 16
+    if sound:
+        data = derive_pruning(f, alpha, g, beta, cap, cap)
+    else:
+        data = PruningData(Fraction(1), Fraction(65, 64), Fraction(1, 8))
+    plain = intersect_orbits(f, alpha, g, beta, cap, cap)
+    sieved = intersect_orbits(f, alpha, g, beta, cap, cap, pruning=data)
+    allowed = set(pruned_candidates(data.u1, data.u2, f.degree, g.degree,
+                                    data.c, cap, cap))
+    assert list(sieved.pairs) == [p for p in plain.pairs if p in allowed]
+    if sound:
+        assert sieved.pairs == plain.pairs
+    else:
+        assert sieved.pairs == ((1, 1), (2, 2))
+        assert len(plain.pairs) == 5
 
 
 def test_intersect_orbits_every_pair_is_a_real_collision():
