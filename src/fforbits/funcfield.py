@@ -4,13 +4,17 @@ Polynomials in t (FFPoly) are kept sparse: a dict from exponent to nonzero
 coefficient, with arbitrary-precision exponents.  Over a prime field GF(p)
 a coefficient is a plain int residue in [1, p); over GF(p^r) with r > 1 it
 is a FieldElem.  Orbit computations routinely produce things like
-t^(2^64) + t, so exponents are never assumed to fit any width, and
-remainders against small divisors are taken term-by-term with modular
-exponentiation of t rather than by long division across the gap.
+t^(2^64) + t, so exponents are never assumed to fit any width.  A
+remainder uses long division when the dividend is dense, and is taken
+term-by-term with modular exponentiation of t only when a sparse dividend
+overhangs the divisor by a wide gap.
 
 Rational functions are kept in the canonical reduced form: denominator monic
 and coprime to the numerator.  Two equal values are structurally equal, so
 __eq__ and __hash__ are structural and any element can key a dict.
+RatFunc.make normalizes an arbitrary pair; add and multiply keep reduced
+operands reduced by Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1), taking
+gcds only of the factors that can share one.
 
 ExtRing models K[y]/(M(y)) for a monic M over K.  An element keeps its
 coefficient vector below deg M; products and inverses go through the same
@@ -27,12 +31,14 @@ from typing import Iterable, Optional, Sequence, Union
 import operator
 
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
-from .field import (FieldElem, FieldSpec, Frozen, dense_coeffs,
+from .field import (_PACK_SPAN, FieldElem, FieldSpec, Frozen, dense_coeffs,
                     format_terms, power, sparse_add, sparse_divmod,
                     sparse_mul, sparse_neg, sparse_terms, sparse_xgcd)
 
-# long division is fine when the dividend's degree overhangs the divisor by
-# at most this much; beyond it, reduce term-by-term via pow-mod of t
+# % takes the long division when the dividend's degree overhangs the divisor
+# by at most this much, or by at most _PACK_SPAN exponents per dividend term
+# (the density test of sparse_mul); beyond both, the dividend is sparse
+# across a wide gap and is reduced term-by-term via pow-mod of t
 _GAP_FOR_POWMOD = 64
 
 
@@ -204,7 +210,8 @@ class FFPoly(Frozen):
         db = other.degree
         if db == 0:
             return FFPoly.zero(self.spec)
-        if self.degree - db <= _GAP_FOR_POWMOD:
+        if self.degree - db <= max(_GAP_FOR_POWMOD,
+                                   _PACK_SPAN * len(self.terms)):
             return self.divmod(other)[1]
         # term-by-term: sum of c * (t^e mod other), binary powering of t
         acc = FFPoly.zero(self.spec)
@@ -259,6 +266,14 @@ def _t_power_mod(spec: FieldSpec, e: int, modulus: FFPoly, cache: dict) -> FFPol
     return out
 
 
+def _cancel(a: FFPoly, b: FFPoly) -> tuple:
+    """a and b divided by their monic gcd."""
+    g = a.gcd(b)
+    if g.is_one():
+        return a, b
+    return a.exact_div(g), b.exact_div(g)
+
+
 def format_poly(poly: FFPoly, var: str) -> str:
     if not poly.terms:
         return "0"
@@ -298,16 +313,17 @@ class RatFunc(Frozen):
             raise DivisionByZero("rational function with zero denominator")
         if not num:
             return cls(num, FFPoly.one(spec))
-        if not den.is_one():
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.terms[den.degree]
-            if lead != _one(spec):
-                inv = _inverse(lead, spec.int_p)
-                num = num.scale(inv)
-                den = den.scale(inv)
+        if den.is_one():
+            return cls(num, den)
+        return cls._monic(*_cancel(num, den))
+
+    @classmethod
+    def _monic(cls, num: FFPoly, den: FFPoly) -> "RatFunc":
+        """num/den for a coprime pair, both scaled so den is monic."""
+        lead = den.terms[den.degree]
+        if lead != _one(den.spec):
+            u = _inverse(lead, den.spec.int_p)
+            num, den = num.scale(u), den.scale(u)
         return cls(num, den)
 
     @classmethod
@@ -368,10 +384,32 @@ class RatFunc(Frozen):
         return h
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc.make(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+        # Henrici: with both operands reduced, only gcd(b, d) and then
+        # gcd(t, g) can be nontrivial, so no gcd of the full cross sum
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a:
+            return other
+        if not c:
+            return self
+        if b.is_one():
+            if d.is_one():
+                return RatFunc(a + c, b)
+            # gcd(a*d + c, d) = gcd(c, d) = 1
+            return RatFunc(a * d + c, d)
+        if d.is_one():
+            return RatFunc(a + c * b, b)
+        g = b.gcd(d)
+        if g.is_one():
+            return RatFunc(a * d + c * b, b * d)
+        b = b.exact_div(g)
+        t = a * d.exact_div(g) + c * b
+        if not t:
+            return RatFunc.zero(self.spec)
+        g2 = t.gcd(g)
+        if not g2.is_one():
+            t = t.exact_div(g2)
+            d = d.exact_div(g2)
+        return RatFunc(t, b * d)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
@@ -380,14 +418,26 @@ class RatFunc(Frozen):
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc(self.num * other.num, self.den)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        # Henrici: with both operands reduced, a common factor of the
+        # product lies in gcd(a, d) or gcd(c, b), so cancel those first
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a or other.is_one():
+            return self
+        if not c or self.is_one():
+            return other
+        if b.is_one() and d.is_one():
+            return RatFunc(a * c, b)
+        if not d.is_one():
+            a, d = _cancel(a, d)
+        if not b.is_one():
+            c, b = _cancel(c, b)
+        return RatFunc(a * c, b * d)
 
     def inverse(self) -> "RatFunc":
+        # the swapped pair is still coprime, so no gcd
         if not self.num:
             raise DivisionByZero("inverse of zero")
-        return RatFunc.make(self.den, self.num)
+        return RatFunc._monic(self.den, self.num)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         return self * other.inverse()

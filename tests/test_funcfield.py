@@ -6,6 +6,8 @@ The powering code paths get extra attention because they split exponents
 in base p instead of plain binary squaring; every fast path is checked
 against repeated multiplication.
 """
+import importlib.util
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -13,8 +15,9 @@ import hypothesis.strategies as st
 from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
                             sparse_add, sparse_divmod, sparse_mul, sparse_neg,
                             sparse_xgcd)
-from fforbits.funcfield import (ExtRing, FFPoly, KRing, RatFunc, ring_of,
-                                weil_height)
+from fforbits import funcfield
+from fforbits.funcfield import (_GAP_FOR_POWMOD, ExtRing, FFPoly, KRing,
+                                RatFunc, ring_of, weil_height)
 from fforbits.dynpoly import DynPoly, k_candidates
 from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 
@@ -28,6 +31,8 @@ GF31 = FieldSpec(31)
 GF_BIG = FieldSpec(2 ** 31 - 1)  # product slots wider than 8 bytes
 PRIME_FIELDS = (GF2, GF3, GF5, GF31)
 FIELDS = PRIME_FIELDS + (GF4, GF9)
+ORACLE_FIELDS = (GF2, GF3, GF5, GF9)
+HAVE_SYMPY = importlib.util.find_spec("sympy") is not None
 
 
 def poly(spec, terms):
@@ -364,6 +369,75 @@ def test_ffpoly_evaluate():
         assert a.evaluate(x) == want
 
 
+def gapped_dividend(spec, coeffs, degree, others):
+    """The polynomial with the given nonzero coefficients on exponent
+    degree and on the exponents others, in that order."""
+    return poly(spec, dict(zip([degree] + list(others), coeffs)))
+
+
+@st.composite
+def remainder_operands(draw):
+    """(a, b) with a of n terms overhanging b by a gap over
+    _GAP_FOR_POWMOD: at most _PACK_SPAN * n (dense, long division) or
+    just past it (sparse, term-by-term pow-mod of t)."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    n = draw(st.integers(_GAP_FOR_POWMOD // _PACK_SPAN + 1, 48))
+    if draw(st.booleans()):
+        gap = draw(st.integers(_GAP_FOR_POWMOD + 1, _PACK_SPAN * n))
+    else:
+        gap = _PACK_SPAN * n + draw(st.integers(1, 3))
+    b = draw(ffpoly_strategy(spec, max_deg=8).filter(lambda f: f.degree > 0))
+    top = b.degree + gap
+    others = draw(st.permutations(range(top)))[:n - 1]
+    if spec.r == 1:
+        coeff = st.integers(1, spec.p - 1)
+    else:
+        coeff = st.sampled_from([c for c in spec.all_elements() if c])
+    coeffs = draw(st.lists(coeff, min_size=n, max_size=n))
+    return gapped_dividend(spec, coeffs, top, others), b
+
+
+@given(ab=remainder_operands())
+@settings(max_examples=60, deadline=None)
+def test_ffpoly_mod_on_both_sides_of_the_density_rule(ab):
+    """% equals the long-division remainder, and sympy's over GF(p), for
+    dense dividends that take long division across a gap over 64 and
+    sparse ones just past the rule that take pow-mod of t."""
+    a, b = ab
+    spec = a.spec
+    got = a % b
+    assert got == a.divmod(b)[1]
+    assert got.degree < b.degree
+    assert_canonical(got)
+    if HAVE_SYMPY and spec.r == 1:
+        assert got == from_sympy(spec, to_sympy(a).rem(to_sympy(b)))
+
+
+@pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+@pytest.mark.parametrize("extra, powmod", ((0, False), (1, True)))
+def test_ffpoly_mod_switches_at_the_density_rule(spec, extra, powmod,
+                                                 monkeypatch):
+    """A dividend of n terms overhanging the divisor by exactly
+    _PACK_SPAN * n > _GAP_FOR_POWMOD is divided; one exponent more and
+    it is reduced term by term."""
+    n = 40
+    calls = []
+    real = funcfield._t_power_mod
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+    monkeypatch.setattr(funcfield, "_t_power_mod", counted)
+    b = poly(spec, {3: 1, 1: 1, 0: 1})
+    gap = _PACK_SPAN * n + extra
+    assert gap > _GAP_FOR_POWMOD
+    a = gapped_dividend(spec, [1] * n, 3 + gap, range(0, 2 * (n - 1), 2))
+    assert len(a.terms) == n and a.degree == 3 + gap
+    got = a % b
+    assert bool(calls) == powmod
+    assert got == a.divmod(b)[1]
+
+
 # RatFunc
 
 def test_ratfunc_canonical_form():
@@ -443,6 +517,74 @@ def test_ratfunc_pow_negative_and_huge():
             acc = acc * a
     e = 2 ** 40
     assert (t ** e).height() == e
+
+
+def assert_reduced(x):
+    """The canonical form: a monic denominator coprime to the numerator."""
+    assert x.den.is_monic(), x
+    assert x.num.gcd(x.den).is_one(), x
+
+
+@st.composite
+def ratfunc_pairs(draw):
+    """Two reduced fractions over one field.  In most modes both
+    denominators carry a forced common factor h, so Henrici's gcd(b, d)
+    is not 1; in "cancel" x + y = c/d0 is built with the oracle so that
+    the sum also cancels h from the numerator (gcd(t, g) is not 1).
+    Sums to zero and operands 0, 1 and polynomials are drawn too."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    polys = ffpoly_strategy(spec, max_deg=3)
+    nonzero = polys.filter(bool)
+    h = draw(polys.filter(lambda f: f.degree > 0))
+    a, c = draw(polys), draw(polys)
+    b0, d0 = draw(nonzero), draw(nonzero)
+    x = RatFunc.make(a, b0 * h)
+    mode = draw(st.sampled_from(
+        ("shared", "cancel", "negate", "unrelated", "zero", "one", "poly",
+         "polys")))
+    if mode == "shared":
+        y = RatFunc.make(c, d0 * h)
+    elif mode == "cancel":
+        y = RatFunc.make(c * x.den - x.num * d0, d0 * x.den)
+    elif mode == "negate":
+        y = -x
+    elif mode == "unrelated":
+        y = RatFunc.make(c, d0)
+    elif mode == "zero":
+        y = RatFunc.zero(spec)
+    elif mode == "one":
+        y = RatFunc.one(spec)
+    elif mode == "poly":
+        y = RatFunc.from_poly(c)
+    else:
+        x, y = RatFunc.from_poly(a), RatFunc.from_poly(c)
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+@given(xy=ratfunc_pairs())
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_arithmetic_matches_make(xy):
+    """Henrici's add and multiply and the gcd-free inverse give what
+    RatFunc.make gives for the unreduced pairs, in canonical form."""
+    x, y = xy
+    a, b, c, d = x.num, x.den, y.num, y.den
+    assert_reduced(x)
+    assert_reduced(y)
+    total = x + y
+    assert total == RatFunc.make(a * d + c * b, b * d)
+    assert_reduced(total)
+    product = x * y
+    assert product == RatFunc.make(a * c, b * d)
+    assert_reduced(product)
+    if x:
+        inv = x.inverse()
+        assert inv == RatFunc.make(b, a)
+        assert_reduced(inv)
+    else:
+        with pytest.raises(DivisionByZero):
+            x.inverse()
 
 
 def test_weil_height_accepts_polys():
