@@ -15,12 +15,13 @@ factor and raise ReducibleModulus carrying the factor found.
 Every polynomial ring of the package (GF(p)[w] behind GF(p^r), F_q[t],
 K[y] behind K[y]/(M), and the maps in x) shares one set of kernels on
 sparse polynomials: a dict from exponent to nonzero coefficient.
-sparse_add, sparse_neg, sparse_mul, sparse_divmod and sparse_xgcd take the
-modulus p of the coefficients: with p they are ints reduced mod p, with
-p = 0 they are values that bring their own arithmetic (FieldElem, RatFunc,
-ExtElem) and have is_one() and inverse().  Over GF(p), sparse_mul multiplies
-dense operands as one product of two ints (Kronecker substitution), exact
-because no slot of that product can carry into the next (see sparse_mul).
+sparse_add, sparse_neg, sparse_mul, sparse_lincomb (a sum of products, in
+one dict), sparse_divmod and sparse_xgcd take the modulus p of the
+coefficients: with p they are ints reduced mod p, with p = 0 they are
+values that bring their own arithmetic (FieldElem, RatFunc, ExtElem) and
+have is_one() and inverse().  Over GF(p), sparse_mul multiplies dense
+operands as one product of two ints (Kronecker substitution), exact because
+no slot of that product can carry into the next (see sparse_mul).
 """
 
 from __future__ import annotations
@@ -470,10 +471,9 @@ def sparse_neg(a: dict, p: int = 0) -> dict:
 def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
     """Product of two canonical exponent -> coefficient dicts.
 
-    Products are summed raw and reduced mod p (or dropped when zero) once
-    at the end.  A one-term operand only shifts and scales the other; a
-    product of nonzero values may still vanish there, because an extension
-    ring can have zero divisors.
+    The general case is sparse_lincomb of the one pair.  A one-term operand
+    only shifts and scales the other; a product of nonzero values may still
+    vanish there, because an extension ring can have zero divisors.
 
     Over GF(p), when both operands have at least _PACK_TERMS terms spread
     over at most _PACK_SPAN exponents per term, each is packed from its
@@ -507,13 +507,21 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
             lo = lo_a + lo_b
             return {lo + i // w: v for i in range(0, len(raw), w)
                     if (v := int.from_bytes(raw[i:i + w], "little") % p)}
+    return sparse_lincomb(((a, b),), p)
+
+
+def sparse_lincomb(pairs: Iterable, p: int = 0) -> dict:
+    """Sum of a*b over pairs (a, b) of canonical exponent -> coefficient
+    dicts.  Products are summed raw into one dict and reduced mod p (or
+    dropped when zero) once at the end, so no partial sum is copied."""
     out: dict = {}
     get = out.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = get(e)
-            out[e] = c1 * c2 if s is None else s + c1 * c2
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
     if p:
         return {e: v for e, s in out.items() if (v := s % p)}
     return {e: s for e, s in out.items() if s}

@@ -450,6 +450,8 @@ class RatFunc(Frozen):
         # reduced stays reduced and monic stays monic under powers
         if n < 0:
             return self.inverse() ** (-n)
+        if self.den.is_one():
+            return RatFunc(self.num ** n, self.den)
         return RatFunc(self.num ** n, self.den ** n)
 
     def in_prime_field(self) -> bool:

@@ -14,6 +14,8 @@ p^n; the default cap is 4096.
 A twisted polynomial is the same data as an additive polynomial in x
 (T^i standing for x^(p^i)); to_dynpoly / from_dynpoly convert between the
 two views, and evaluation goes through iterated p-th powers of the point.
+Over K, at a polynomial point with polynomial coefficients, the value
+sum c_i * N^(p^i) is formed as one sum of products (field.sparse_lincomb).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import operator
 from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
-from .field import FieldSpec, Frozen, format_terms, power, sparse_mul
-from .funcfield import ExtElem, ExtRing, KRing, RatFunc
+from .field import (FieldSpec, Frozen, format_terms, power, sparse_lincomb,
+                    sparse_mul)
+from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
 from .dynpoly import DynPoly, is_additive, _scalar_in
 
@@ -161,6 +164,14 @@ class TwistedPoly(Frozen):
                 and point.spec == ring.spec:
             return self.lift_to(point.ring).evaluate(point)
         point = _scalar_in(ring, point)
+        if isinstance(ring, KRing) and point.is_poly() \
+                and all(c.is_poly() for c in self.coeffs):
+            return RatFunc.from_poly(FFPoly(ring.spec, sparse_lincomb(
+                [(c.num.terms, point.num.frobenius(i).terms)
+                 for i, c in enumerate(self.coeffs) if c], ring.spec.int_p)))
+        # points with a denominator D, and points of an extension, keep the
+        # running sum: over the common denominator D^(p^d) term i would need
+        # D^(p^d - p^i), a dense product of d - i Frobenius images
         acc = ring.zero()
         v = point
         for i, c in enumerate(self.coeffs):
@@ -244,11 +255,10 @@ def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
     base = {i: _prime_int(c) for i, c in enumerate(a.coeffs) if c}
     acc = power(base, n, lambda x, y: sparse_mul(x, y, p),
                 lambda x, k: {e * p ** k: v for e, v in x.items()}, p)
-    top = max(acc)
     ring = a.ring
-    zero = ring.zero()
+    scalars = [ring.from_int(v) for v in range(p)]
     return TwistedPoly(ring, tuple(
-        ring.from_int(acc[i]) if i in acc else zero for i in range(top + 1)))
+        scalars[acc.get(i, 0)] for i in range(max(acc) + 1)))
 
 
 def _prime_int(c) -> int:

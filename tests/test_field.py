@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import FieldSpec, binom_mod
+from fforbits.field import (FieldSpec, binom_mod, sparse_add, sparse_lincomb,
+                            sparse_mul, sparse_neg)
 from fforbits.errors import DivisionByZero, ParseError, ReducibleModulus, RingMismatch
 
 
@@ -179,6 +180,42 @@ def test_gen_satisfies_modulus():
     assert w * w + w + GF4.one() == GF4.zero()
     u = GF9.gen()
     assert u * u + GF9.one() == GF9.zero()
+
+
+
+@st.composite
+def lincomb_pairs(draw, spec):
+    """Pairs of canonical dicts over spec (ints over GF(p), FieldElems over
+    GF(p^r)), some repeated with the first factor negated so that whole
+    coefficients of the sum cancel."""
+    p = spec.int_p
+    if p:
+        coeff = st.integers(1, p - 1)
+    else:
+        coeff = st.sampled_from([c for c in spec.all_elements() if c])
+    terms = st.dictionaries(st.integers(0, 12), coeff, max_size=6)
+    pairs = draw(st.lists(st.tuples(terms, terms), max_size=5))
+    if pairs:
+        pairs += [(sparse_neg(a, p), b) for a, b in
+                  draw(st.lists(st.sampled_from(pairs), max_size=3))]
+    return draw(st.permutations(pairs))
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF5, GF9], ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_lincomb_is_sum_of_products(spec, data):
+    """The one sum equals sparse_add of the products, each product taken
+    one term of the first factor at a time (the one-term path of
+    sparse_mul, which does not call sparse_lincomb); GF(9) runs the
+    kernel with p = 0 on FieldElem values."""
+    pairs = data.draw(lincomb_pairs(spec))
+    p = spec.int_p
+    want = {}
+    for a, b in pairs:
+        for e, c in a.items():
+            want = sparse_add(want, sparse_mul({e: c}, b, p), p)
+    assert sparse_lincomb(pairs, p) == want
 
 
 @given(m=st.integers(min_value=0, max_value=2000),

@@ -9,7 +9,7 @@ against repeated multiplication.
 import importlib.util
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
@@ -517,6 +517,23 @@ def test_ratfunc_pow_negative_and_huge():
             acc = acc * a
     e = 2 ** 40
     assert (t ** e).height() == e
+
+
+@given(a=st.sampled_from(ORACLE_FIELDS).flatmap(lambda spec: st.one_of(
+           ffpoly_strategy(spec, 3).map(RatFunc.from_poly),
+           ratfunc_strategy(spec, 2))),
+       n=st.integers(min_value=-4, max_value=9))
+@settings(max_examples=80, deadline=None)
+def test_ratfunc_pow_matches_repeated_mul(a, n):
+    """a ** n is the n-fold product, for a denominator of 1 (which the
+    power leaves as it is) and for any other."""
+    assume(a or n >= 0)
+    base = a if n >= 0 else a.inverse()
+    acc = RatFunc.one(a.spec)
+    for _ in range(abs(n)):
+        acc = acc * base
+    assert a ** n == acc
+    assert_reduced(a ** n)
 
 
 def assert_reduced(x):

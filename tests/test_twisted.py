@@ -5,20 +5,25 @@ The bridge to ordinary polynomials sends tau^i to x^(p^i), turning the
 twisted product into composition of additive maps; most tests lean on
 that translation as the oracle.
 """
+import operator
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import FieldSpec
-from fforbits.funcfield import ExtRing, RatFunc
+from fforbits.field import FieldSpec, power
+from fforbits.funcfield import ExtElem, ExtRing, FFPoly, RatFunc
 from fforbits.dynpoly import DynPoly, KRing, is_additive
-from fforbits.twisted import TwistedPoly, commute_at_iterate, twisted_pow
+from fforbits.twisted import (TwistedPoly, _prime_field_pow, commute_at_iterate,
+                              twisted_pow)
 from fforbits.errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
 
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
+GF5 = FieldSpec(5)
+GF9 = FieldSpec(3, 2, modulus=(1, 0, 1))   # w^2 + 1
 K2 = KRing(GF2)
 K3 = KRing(GF3)
 
@@ -121,6 +126,91 @@ def test_evaluate_in_extension():
     a = tw(K2, [1, 1]).lift_to(ring)        # x + x^2 as tau-poly
     y = ring.y()
     assert a.evaluate(y) == y + y * y
+
+
+def running_sum(a, point):
+    """The value of a at point as the loop acc = acc + c * v over the
+    iterated Frobenius images v of the point."""
+    ext = isinstance(point, ExtElem)
+    ring = point.ring if ext else a.ring
+    acc, v = ring.zero(), point
+    for i, c in enumerate(a.coeffs):
+        if i:
+            v = v.frobenius()
+        acc = acc + (ring.from_K(c) if ext else c) * v
+    return acc
+
+
+def ext_ring(spec):
+    one, t = RatFunc.one(spec), RatFunc.t(spec)
+    return ExtRing(spec, [-t, -one, one])   # y^2 = y + t
+
+
+@st.composite
+def k_value(draw, spec, rational=False, max_deg=3):
+    """A value of K = F_q(t): a polynomial, or with rational a fraction
+    whose denominator is drawn too (and is 1 when drawn as 0)."""
+    if spec.r == 1:
+        coeff = st.integers(0, spec.p - 1)
+    else:
+        coeff = st.sampled_from(list(spec.all_elements()))
+
+    def poly(deg):
+        cs = draw(st.lists(coeff, max_size=deg + 1))
+        return FFPoly.make(spec, dict(enumerate(cs)))
+    den = poly(2) if rational else FFPoly.one(spec)
+    return RatFunc.make(poly(max_deg), den or FFPoly.one(spec))
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(a, point, vanishes): polynomial points with polynomial
+    coefficients (one sum), points and coefficients with denominators and
+    ExtElem points (the running sum), and coefficient pairs
+    c_i = -c_j * N^(p^j - p^i) whose terms cancel to 0 at the point N."""
+    spec = draw(st.sampled_from([GF2, GF3, GF5, GF9]))
+    ring = KRing(spec)
+    kind = draw(st.sampled_from(["poly", "rational", "ext", "cancel"]))
+    if kind == "cancel":
+        point = draw(k_value(spec))
+        i, j = sorted(draw(st.permutations(range(3)))[:2])
+        cj = draw(k_value(spec))
+        coeffs = [ring.zero()] * (j + 1)
+        coeffs[i] = -(cj * point ** (spec.p ** j - spec.p ** i))
+        coeffs[j] = cj
+        return TwistedPoly.make(ring, coeffs), point, True
+    rational = kind != "poly"
+    coeffs = draw(st.lists(k_value(spec, draw(st.booleans()) and rational),
+                           max_size=4))
+    if kind == "ext":
+        point = ext_ring(spec).elem(
+            [draw(k_value(spec, True, 2)), draw(k_value(spec, True, 2))])
+    else:
+        point = draw(k_value(spec, rational, 3))
+    return TwistedPoly.make(ring, coeffs), point, False
+
+
+@given(case=evaluation_cases())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_running_sum(case):
+    a, point, vanishes = case
+    value = a.evaluate(point)
+    assert value == running_sum(a, point)
+    if vanishes:
+        assert not value
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF5], ids=str)
+def test_prime_field_pow_matches_binary_power(spec):
+    """The GF(p)[T] route against binary powering in K{T}, for exponents
+    with zero base-p digits, over K and over an extension of K."""
+    p = spec.p
+    for ring in (KRing(spec), ext_ring(spec)):
+        for coeffs in ([1, 1], [p - 1, 0, 1], [1, 2 % p, 1]):
+            a = TwistedPoly.make(ring, [ring.from_int(c) for c in coeffs])
+            assert a.all_prime_field()
+            for n in (1, 2, p, p + 1, p * p, p * p + 1, 2 * p * p + p):
+                assert _prime_field_pow(a, n) == power(a, n, operator.mul)
 
 
 def brute_twisted_pow(a, n):
