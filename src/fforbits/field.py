@@ -8,9 +8,16 @@ modulus over GF(p) in the generator symbol (default "w").  Elements are
 coefficient vectors of length r with entries reduced to least non-negative
 residues, so equal elements are structurally equal.
 
-The modulus is trusted to be irreducible.  That is never verified up front;
-if it is reducible, some inversion will eventually meet a nontrivial common
-factor and raise ReducibleModulus carrying the factor found.
+For r > 1 and q = p^r <= _TABLE_ORDER with an irreducible modulus (Ben-Or's
+test), each element is interned: the one FieldElem per code
+n = sum c_i p^i, shared by every equal FieldSpec of the process.  Products,
+inverses and powers are one log/antilog lookup against a primitive element,
+sums one Zech-logarithm lookup (Huber, IEEE Trans. Inf. Theory 36 (1990)),
+and the Frobenius a permutation of the codes.  The tables are built once per
+field, from the polynomial arithmetic below, and kept in a module-level
+cache.  Larger fields and reducible moduli compute with polynomials in w:
+a reducible modulus is accepted, and some inversion will eventually meet a
+nontrivial common factor and raise ReducibleModulus carrying the factor.
 
 Every polynomial ring of the package (GF(p)[w] behind GF(p^r), F_q[t],
 K[y] behind K[y]/(M), and the maps in x) shares one set of kernels on
@@ -88,10 +95,13 @@ class FieldSpec(Frozen):
     """Description of GF(p^r); also the element factory.
 
     int_p is p when r == 1, where an element is just its residue mod p and
-    arithmetic can run on plain ints, and 0 otherwise.
+    arithmetic can run on plain ints, and 0 otherwise.  unit is the 1 as a
+    polynomial over the field stores its coefficients: the int 1 when
+    int_p, the FieldElem one otherwise.
     """
 
-    __slots__ = ("p", "r", "modulus", "generator", "int_p", "_hash", "_mod")
+    __slots__ = ("p", "r", "modulus", "generator", "int_p", "unit", "_hash",
+                 "_mod", "_tab")
 
     def __init__(self, p: int, r: int = 1, modulus: Sequence[int] = (),
                  generator: str = "w"):
@@ -113,6 +123,12 @@ class FieldSpec(Frozen):
         object.__setattr__(self, "int_p", p if r == 1 else 0)
         object.__setattr__(self, "_hash", hash((p, r, modulus)))
         object.__setattr__(self, "_mod", sparse_terms(modulus))
+        key = (p, r, modulus, generator)
+        if key not in _TABLES:
+            _TABLES[key] = (_Tables(self) if 1 < r and p ** r <= _TABLE_ORDER
+                            and _irreducible(self._mod, p) else None)
+        object.__setattr__(self, "_tab", _TABLES[key])
+        object.__setattr__(self, "unit", 1 if r == 1 else self.elem(1))
 
     def __reduce__(self):
         return FieldSpec, (self.p, self.r, self.modulus, self.generator)
@@ -133,6 +149,8 @@ class FieldSpec(Frozen):
             if len(vs) > self.r:
                 raise ValueError("coefficient vector longer than degree")
             coeffs = tuple(vs + [0] * (self.r - len(vs)))
+        if self._tab is not None:
+            return self._tab.elems[_code(coeffs, self.p)]
         return FieldElem(self, coeffs)
 
     def zero(self) -> "FieldElem":
@@ -148,14 +166,11 @@ class FieldSpec(Frozen):
 
     def all_elements(self) -> Iterator["FieldElem"]:
         """All q elements, in lexicographic coefficient order."""
-        p, r = self.p, self.r
-        for n in range(p ** r):
-            digits = []
-            m = n
-            for _ in range(r):
-                digits.append(m % p)
-                m //= p
-            yield FieldElem(self, tuple(digits))
+        if self._tab is not None:
+            yield from self._tab.elems
+            return
+        for n in range(self.order):
+            yield FieldElem(self, _digits(n, self.p, self.r))
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -254,11 +269,24 @@ def _parse_modulus(text: str, p: int, r: int) -> tuple:
 
 
 class FieldElem(Frozen):
-    __slots__ = ("spec", "coeffs")
+    """An element of GF(p^r).  An interned element (see the module
+    docstring) also carries its code, its log against the primitive element
+    of its field's tables (None for 0) and the tables; every other element
+    has None in all three."""
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple):
+    __slots__ = ("spec", "coeffs", "code", "_log", "_tab")
+
+    def __init__(self, spec: FieldSpec, coeffs: tuple, code=None, log=None,
+                 tab=None):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_tab", tab)
+
+    def __reduce__(self):
+        # through the factory, so that a loaded element is the interned one
+        return self.spec.elem, (self.coeffs,)
 
     def _check(self, other: "FieldElem") -> None:
         if self.spec != other.spec:
@@ -271,42 +299,77 @@ class FieldElem(Frozen):
         return self.coeffs[0] == 1 and self.in_prime_field()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElem) and self.spec == other.spec
-                and self.coeffs == other.coeffs)
+        if self is other:
+            return True
+        if not isinstance(other, FieldElem):
+            return False
+        if self._tab is not None and other._tab is self._tab:
+            return False  # interned: equal elements are one object
+        return self.spec == other.spec and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.spec, self.coeffs))
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
+        t = self._tab
+        if t is not None and other._tab is t:
+            i, j = self._log, other._log
+            if i is None:
+                return other
+            if j is None:
+                return self
+            z = t.zech[j - i]  # g^i + g^j = g^(i + zech(j - i))
+            return t.elems[0] if z is None else t.by_log[i + z]
         self._check(other)
         p = self.spec.p
         return FieldElem(self.spec, tuple((a + b) % p for a, b
                                           in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
+        t = self._tab
+        if t is not None and other._tab is t:
+            i, j = self._log, other._log
+            if j is None:
+                return self
+            j += t.half  # -g^j = g^(j + half)
+            if i is None:
+                return t.by_log[j]
+            z = t.zech[j - i]
+            return t.elems[0] if z is None else t.by_log[i + z]
         self._check(other)
         p = self.spec.p
         return FieldElem(self.spec, tuple((a - b) % p for a, b
                                           in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "FieldElem":
+        t = self._tab
+        if t is not None:
+            return self if self._log is None else t.by_log[self._log + t.half]
         p = self.spec.p
         return FieldElem(self.spec, tuple(-a % p for a in self.coeffs))
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
+        t = self._tab
+        if t is not None and other._tab is t:
+            i, j = self._log, other._log
+            if i is None or j is None:
+                return t.elems[0]
+            return t.by_log[i + j]
         self._check(other)
         spec = self.spec
         p = spec.p
         if spec.r == 1:
             return FieldElem(spec, (self.coeffs[0] * other.coeffs[0] % p,))
-        prod = sparse_mul(sparse_terms(self.coeffs),
-                          sparse_terms(other.coeffs), p)
-        rem = sparse_divmod(prod, spec._mod, p)[1]
+        rem = _mod_mul(spec._mod, p)(sparse_terms(self.coeffs),
+                                     sparse_terms(other.coeffs))
         return FieldElem(spec, dense_coeffs(rem, spec.r, 0))
 
     def inverse(self) -> "FieldElem":
         if not self:
             raise DivisionByZero("inverse of zero")
+        t = self._tab
+        if t is not None:
+            return t.by_log[-self._log]
         spec = self.spec
         p = spec.p
         if spec.r == 1:
@@ -323,19 +386,28 @@ class FieldElem(Frozen):
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "FieldElem":
+        t = self._tab
+        if t is not None and self._log is not None:
+            return t.by_log[self._log * n % t.period]
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return self.spec.one()
-        # binary: frobenius() below is itself defined through ** p
+        # binary: without tables, frobenius() below is defined through ** p
         return power(self, n, operator.mul)
 
     def frobenius(self, k: int = 1) -> "FieldElem":
         """The k-fold Frobenius image, self ** (p ** k)."""
         if self.spec.r == 1:
             return self
-        out = self
         k %= self.spec.r  # Frobenius has order r on GF(p^r)
+        t = self._tab
+        if t is not None:
+            n = self.code
+            for _ in range(k):
+                n = t.frob[n]
+            return t.elems[n]
+        out = self
         for _ in range(k):
             out = out ** self.spec.p
         return out
@@ -357,6 +429,90 @@ class FieldElem(Frozen):
 
     def __repr__(self) -> str:
         return f"<{self} in {self.spec.format()}>"
+
+
+# GF(p^r) with r > 1 and at most this many elements computes by tables
+_TABLE_ORDER = 2 ** 10
+# (p, r, modulus, generator) -> the field's _Tables, or None without tables
+_TABLES: dict = {}
+
+
+def _code(coeffs: Sequence[int], p: int) -> int:
+    """sum c_i p^i over the coefficient vector, lowest degree first."""
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
+
+
+def _digits(n: int, p: int, r: int) -> tuple:
+    """The coefficient vector of code n, lowest degree first."""
+    out = []
+    for _ in range(r):
+        n, d = divmod(n, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _mod_mul(mod: dict, p: int) -> Callable:
+    """The product of GF(p)[w] modulo mod, on sparse dicts."""
+    return lambda a, b: sparse_divmod(sparse_mul(a, b, p), mod, p)[1]
+
+
+def _irreducible(mod: dict, p: int) -> bool:
+    """Ben-Or's test: mod of degree r over GF(p) is irreducible iff
+    gcd(w^(p^i) - w, mod) = 1 for every i <= r/2, since a factor of degree
+    i divides w^(p^i) - w."""
+    mul = _mod_mul(mod, p)
+    x = {1: 1}
+    for _ in range(max(mod) // 2):
+        x = power(x, p, mul)
+        if max(sparse_xgcd(sparse_add(x, {1: p - 1}, p), mod, 1, p)[0]):
+            return False
+    return True
+
+
+class _Tables:
+    """The interned elements of one GF(p^r) with an irreducible modulus, and
+    the tables they compute by, against a primitive element g.
+
+    elems[n] is the element of code n.  by_log[k] is g^(k mod q-1) for
+    k < 2(q-1), so a sum of two logs indexes it unreduced.  zech[k] is the
+    log of 1 + g^k, None where that is 0, also over two periods, so that
+    zech[j - i] is right for -2(q-1) <= j - i < 2(q-1).  frob[n] is the
+    code of elems[n] ** p.  half is the log of -1 and period is q - 1.
+    """
+
+    __slots__ = ("elems", "by_log", "zech", "frob", "half", "period")
+
+    def __init__(self, spec: FieldSpec):
+        p, r = spec.p, spec.r
+        mul = _mod_mul(spec._mod, p)
+        period = p ** r - 1
+        # g is primitive iff g^(period/l) != 1 for every prime l | period;
+        # codes below p are the prime field, of order dividing p - 1
+        factors = [l for l in range(2, period + 1)
+                   if period % l == 0 and _is_prime(l)]
+        for n in range(p, period + 1):
+            g = sparse_terms(_digits(n, p, r))
+            if all(power(g, period // l, mul) != {0: 1} for l in factors):
+                break
+        codes, x = [], {0: 1}
+        for _ in range(period):
+            codes.append(_code(dense_coeffs(x, r, 0), p))
+            x = mul(x, g)
+        log = [None] * (period + 1)
+        for k, n in enumerate(codes):
+            log[n] = k
+        self.elems = [FieldElem(spec, _digits(n, p, r), n, log[n], self)
+                      for n in range(period + 1)]
+        self.by_log = [self.elems[n] for n in codes] * 2
+        # 1 + g^k differs from g^k in the constant digit of its code only
+        self.zech = [log[n - n % p + (n + 1) % p] for n in codes] * 2
+        self.frob = [0] + [codes[log[n] * p % period]
+                           for n in range(1, period + 1)]
+        self.half = period // 2 if p > 2 else 0
+        self.period = period
 
 
 def format_terms(terms: dict, var: str, descending: bool) -> str:

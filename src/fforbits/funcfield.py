@@ -56,10 +56,6 @@ def _elem(spec: FieldSpec, c) -> FieldElem:
     return FieldElem(spec, (c,)) if spec.int_p else c
 
 
-def _one(spec: FieldSpec) -> Union[int, FieldElem]:
-    return 1 if spec.int_p else spec.one()
-
-
 def _inverse(c, p: int):
     return pow(c, p - 2, p) if p else c.inverse()
 
@@ -97,11 +93,11 @@ class FFPoly(Frozen):
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "FFPoly":
-        return cls(spec, {0: _one(spec)})
+        return cls(spec, {0: spec.unit})
 
     @classmethod
     def t(cls, spec: FieldSpec) -> "FFPoly":
-        return cls(spec, {1: _one(spec)})
+        return cls(spec, {1: spec.unit})
 
     @classmethod
     def constant(cls, spec: FieldSpec, c) -> "FFPoly":
@@ -124,7 +120,7 @@ class FFPoly(Frozen):
         return bool(self.terms)
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(0) == _one(self.spec)
+        return len(self.terms) == 1 and self.terms.get(0) == self.spec.unit
 
     def leading_coeff(self) -> FieldElem:
         if not self.terms:
@@ -133,7 +129,7 @@ class FFPoly(Frozen):
 
     def is_monic(self) -> bool:
         return bool(self.terms) \
-            and self.terms[max(self.terms)] == _one(self.spec)
+            and self.terms[max(self.terms)] == self.spec.unit
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), reverse=True)
@@ -192,6 +188,8 @@ class FFPoly(Frozen):
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return FFPoly.one(self.spec)
+        if n == 1:
+            return self
         return power(self, n, operator.mul, FFPoly.frobenius, self.spec.p)
 
     # -- division -----------------------------------------------------
@@ -321,7 +319,7 @@ class RatFunc(Frozen):
     def _monic(cls, num: FFPoly, den: FFPoly) -> "RatFunc":
         """num/den for a coprime pair, both scaled so den is monic."""
         lead = den.terms[den.degree]
-        if lead != _one(den.spec):
+        if lead != den.spec.unit:
             u = _inverse(lead, den.spec.int_p)
             num, den = num.scale(u), den.scale(u)
         return cls(num, den)
@@ -450,6 +448,8 @@ class RatFunc(Frozen):
         # reduced stays reduced and monic stays monic under powers
         if n < 0:
             return self.inverse() ** (-n)
+        if n == 1:
+            return self
         if self.den.is_one():
             return RatFunc(self.num ** n, self.den)
         return RatFunc(self.num ** n, self.den ** n)

@@ -2,14 +2,18 @@
 Tests for the constant-field layer: prime fields, extension fields given by
 an explicit modulus, Frobenius, and binomial coefficients mod p.
 """
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fforbits.field import (FieldSpec, binom_mod, sparse_add, sparse_lincomb,
-                            sparse_mul, sparse_neg)
+from fforbits import field
+from fforbits.field import (FieldSpec, binom_mod, sparse_add, sparse_divmod,
+                            sparse_lincomb, sparse_mul, sparse_neg,
+                            sparse_terms)
 from fforbits.errors import DivisionByZero, ParseError, ReducibleModulus, RingMismatch
 
 
@@ -25,6 +29,8 @@ GF8 = FieldSpec(2, 3, modulus=(1, 1, 0, 1))
 GF25 = FieldSpec(5, 2, modulus=(2, 1, 1))
 # x^3 + 2x + 1 over GF(3)
 GF27 = FieldSpec(3, 3, modulus=(1, 2, 0, 1))
+# x^2 + 2x + 4 over GF(5): w has order 12, not 24, so w is no primitive element
+GF25_W12 = FieldSpec(5, 2, modulus=(4, 2, 1))
 
 
 def test_parse_prime_field():
@@ -90,10 +96,11 @@ def test_field_axioms_exhaustive(spec):
                 assert a * (b + c) == a * b + a * c
 
 
-@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25], ids=str)
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF27], ids=str)
 def test_products_and_inverses_match_sympy(spec):
-    """Every product and every inverse against sympy's dense GF(p)[w]
-    arithmetic: gf_mul then gf_rem by the modulus, and gf_gcdex."""
+    """Every product and inverse, and every sum, difference and Frobenius
+    image, against sympy's dense GF(p)[w] arithmetic: gf_mul then gf_rem by
+    the modulus, gf_gcdex, gf_add, gf_sub and gf_pow_mod."""
     gt = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
     p = spec.p
@@ -111,10 +118,85 @@ def test_products_and_inverses_match_sympy(spec):
             want = gt.gf_rem(gt.gf_mul(dense(a), dense(b), p, ZZ), modulus,
                              p, ZZ)
             assert a * b == elem(want)
+            assert a + b == elem(gt.gf_add(dense(a), dense(b), p, ZZ))
+            assert a - b == elem(gt.gf_sub(dense(a), dense(b), p, ZZ))
         if a:
             s, _, h = gt.gf_gcdex(dense(a), modulus, p, ZZ)
             assert h == [1]
             assert a.inverse() == elem(s)
+        for k in range(spec.r + 1):
+            want = gt.gf_pow_mod(dense(a), p ** k, modulus, p, ZZ)
+            assert a.frobenius(k) == elem(want)
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF25, GF25_W12, GF27],
+                         ids=str)
+def test_tables_match_polynomial_arithmetic(spec):
+    """The log/antilog, Zech and Frobenius tables against products taken in
+    GF(p)[w] with sparse_mul and reduced with sparse_divmod, for every pair:
+    sums, differences, negatives, products, inverses (the b with a*b = 1,
+    found by search), powers by repeated products and the Frobenius k-fold
+    for k = 0..r; each result is the interned element."""
+    p, r = spec.p, spec.r
+    mod = sparse_terms(spec.modulus)
+    assert spec._tab is not None
+
+    def mul(a, b):
+        rem = sparse_divmod(sparse_mul(sparse_terms(a), sparse_terms(b), p),
+                            mod, p)[1]
+        return tuple(rem.get(i, 0) for i in range(r))
+
+    elems = list(spec.all_elements())
+    one = (1,) + (0,) * (r - 1)
+    for a in elems:
+        x = a.coeffs
+        assert (-a) is spec.elem([-c for c in x])
+        for b in elems:
+            y = b.coeffs
+            assert a * b is spec.elem(mul(x, y))
+            assert a + b is spec.elem([c + d for c, d in zip(x, y)])
+            assert a - b is spec.elem([c - d for c, d in zip(x, y)])
+        if a:
+            inv, = [b for b in elems if mul(x, b.coeffs) == one]
+            assert a.inverse() is inv
+            assert a ** -3 is inv ** 3
+        powers = [one]
+        while len(powers) < 2 * spec.order:
+            powers.append(mul(powers[-1], x))
+        for n, want in enumerate(powers):
+            assert a ** n is spec.elem(want)
+        for k in range(r + 1):
+            assert a.frobenius(k) is spec.elem(powers[p ** k])
+
+
+def test_elements_are_interned():
+    text = "GF(9; mod=w^2+1)"
+    first, second = FieldSpec.parse(text), FieldSpec.parse(text)
+    assert first is not second
+    for a in GF9.all_elements():
+        v = a.coeffs
+        assert first.elem(v) is first.elem(v) is second.elem(v) is a
+        assert pickle.loads(pickle.dumps(a)) is a
+        assert copy.deepcopy(a) is a
+    assert first.one() is GF9.unit is second.unit
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2, (1, 0, 1)),                                      # (w + 1)^2
+    (2, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1)),        # w^12+w^10+w^3+1
+], ids=["GF(4; mod=w^2+1)", "GF(2^12; mod=w^12+w^10+w^3+1)"])
+def test_reducible_modulus_gets_no_tables(p, modulus, monkeypatch):
+    """Ben-Or's test turns a reducible modulus down before any table is
+    built, even under a threshold that admits the field, so it keeps the
+    polynomial path: inverting a zero divisor (w + 1 divides both moduli)
+    raises ReducibleModulus."""
+    for order in (field._TABLE_ORDER, 2 ** 12):
+        monkeypatch.setattr(field, "_TABLE_ORDER", order)
+        monkeypatch.setattr(field, "_TABLES", {})
+        spec = FieldSpec(p, len(modulus) - 1, modulus)
+        assert spec._tab is None
+        with pytest.raises(ReducibleModulus):
+            spec.elem((1, 1)).inverse()
 
 
 def test_division_by_zero():
