@@ -197,10 +197,13 @@ class DynPoly(Frozen):
                 and point.spec == ring.spec:
             return self.lift_to(point.ring).evaluate(point)
         point = _scalar_in(ring, point)
-        acc = ring.zero()
+        acc = None
         for e, c in self.terms.items():
-            acc = acc + c * point ** e
-        return acc
+            if e:
+                v = point ** e
+                c = v if c.is_one() else c * v
+            acc = c if acc is None else acc + c
+        return ring.zero() if acc is None else acc
 
     def compose(self, inner: "DynPoly", budget: Optional[int] = None) -> "DynPoly":
         """self(inner(x)), metered."""

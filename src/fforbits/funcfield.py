@@ -19,6 +19,9 @@ gcds only of the factors that can share one.
 ExtRing models K[y]/(M(y)) for a monic M over K.  An element keeps its
 coefficient vector below deg M; products and inverses go through the same
 sparse kernels of field as FFPoly does, with RatFunc coefficients in y.
+The Frobenius is K-semilinear, (sum c_i y^i)^p = sum c_i^p B_i with
+B_i = y^(p*i) mod M, so it is one sum of products over a basis cached on
+the ring, with no product reduced mod M.
 The modulus is not checked for irreducibility; inverting an element that
 shares a factor with M raises ZeroDivisor, which is exactly how a
 reducible modulus eventually announces itself.
@@ -33,7 +36,8 @@ import operator
 from .errors import DivisionByZero, RingMismatch, ZeroDivisor
 from .field import (_PACK_SPAN, FieldElem, FieldSpec, Frozen, dense_coeffs,
                     format_terms, power, sparse_add, sparse_divmod,
-                    sparse_mul, sparse_neg, sparse_terms, sparse_xgcd)
+                    sparse_lincomb, sparse_mul, sparse_neg, sparse_terms,
+                    sparse_xgcd)
 
 # % takes the long division when the dividend's degree overhangs the divisor
 # by at most this much, or by at most _PACK_SPAN exponents per dividend term
@@ -484,7 +488,8 @@ class ExtRing(Frozen):
     Doubles as the coefficient-ring handle used by DynPoly and TwistedPoly.
     """
 
-    __slots__ = ("spec", "modulus", "generator", "_hash", "_frob_gen", "_mod")
+    __slots__ = ("spec", "modulus", "generator", "_hash", "_mod", "_zero",
+                 "_frob_basis")
 
     def __init__(self, spec: FieldSpec, modulus: Sequence[RatFunc],
                  generator: str = "y"):
@@ -497,15 +502,23 @@ class ExtRing(Frozen):
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hash", hash((spec, modulus)))
-        object.__setattr__(self, "_frob_gen", None)
         object.__setattr__(self, "_mod", sparse_terms(modulus))
+        # immutable, so every element pads its vector with this one zero
+        object.__setattr__(self, "_zero", RatFunc.zero(spec))
+        object.__setattr__(self, "_frob_basis", None)
 
-    def frobenius_of_generator(self) -> "ExtElem":
-        """The reduction of y^p, cached; p-th powers are semilinear over it."""
-        if self._frob_gen is None:
-            object.__setattr__(self, "_frob_gen",
-                               power(self.y(), self.spec.p, operator.mul))
-        return self._frob_gen
+    def frobenius_basis(self) -> tuple:
+        """B_i = y^(p*i) mod M for i below the degree, as sparse dicts,
+        cached: (sum c_i y^i)^p = sum c_i^p B_i, so the p-th power map is
+        K-semilinear over this basis."""
+        if self._frob_basis is None:
+            yp = power(self.y(), self.spec.p, operator.mul)
+            basis = [self.one()]
+            for _ in range(1, self.degree):
+                basis.append(basis[-1] * yp)
+            object.__setattr__(self, "_frob_basis", tuple(
+                sparse_terms(b.coeffs) for b in basis))
+        return self._frob_basis
 
     @property
     def degree(self) -> int:
@@ -519,8 +532,7 @@ class ExtRing(Frozen):
         degree."""
         if terms and max(terms) >= self.degree:
             raise ValueError("coefficient vector longer than extension degree")
-        return ExtElem(self, dense_coeffs(terms, self.degree,
-                                          RatFunc.zero(self.spec)))
+        return ExtElem(self, dense_coeffs(terms, self.degree, self._zero))
 
     def from_K(self, value: RatFunc) -> "ExtElem":
         return self.elem([value])
@@ -535,7 +547,9 @@ class ExtRing(Frozen):
         return self.from_K(RatFunc.constant(self.spec, n))
 
     def y(self) -> "ExtElem":
-        return self.elem([RatFunc.zero(self.spec), RatFunc.one(self.spec)])
+        """The class of y, reduced mod M: -m_0 when M has degree 1."""
+        return self.from_terms(sparse_divmod({1: RatFunc.one(self.spec)},
+                                             self._mod)[1])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExtRing) and self.spec == other.spec
@@ -639,14 +653,15 @@ class ExtElem(Frozen):
         return power(self, n, operator.mul, ExtElem.frobenius, self.spec.p)
 
     def frobenius(self, k: int = 1) -> "ExtElem":
-        out = self
+        # each round is one sum of c_i^p * B_i: no product is reduced mod M
+        ring = self.ring
+        basis = ring.frobenius_basis()
+        coeffs = self.coeffs
         for _ in range(k):
-            gp = out.ring.frobenius_of_generator()
-            acc = out.ring.zero()
-            for c in reversed(out.coeffs):
-                acc = acc * gp + out.ring.from_K(c.frobenius())
-            out = acc
-        return out
+            coeffs = dense_coeffs(sparse_lincomb(
+                ({0: c.frobenius()}, b) for c, b in zip(coeffs, basis) if c),
+                ring.degree, ring._zero)
+        return ExtElem(ring, coeffs)
 
     def in_prime_field(self) -> bool:
         return self.in_K() and self.coeffs[0].in_prime_field()

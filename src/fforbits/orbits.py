@@ -164,7 +164,7 @@ class PlaneCurve(Frozen):
         return cls.make(ring, {(1, 0): ring.one(), (0, 1): -ring.one()})
 
     def evaluate(self, v1, v2):
-        acc = self.ring.zero()
+        acc = None
         c1: dict = {}
         c2: dict = {}
         for (e1, e2), c in self.terms.items():
@@ -174,8 +174,11 @@ class PlaneCurve(Frozen):
             m2 = c2.get(e2)
             if m2 is None:
                 m2 = c2[e2] = v2 ** e2
-            acc = acc + c * m1 * m2
-        return acc
+            v = m1 * m2
+            if not c.is_one():
+                v = c * v
+            acc = v if acc is None else acc + v
+        return self.ring.zero() if acc is None else acc
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PlaneCurve) and self.ring == other.ring

@@ -76,6 +76,21 @@ def test_extension_point_with_denominator(tmp_path, capsys):
     assert run["pairs"] == [[n + 1, n] for n in range(7)]
 
 
+def test_degree_one_extension_matches_base_field(tmp_path, capsys):
+    """K[y]/(y + t) is K itself, so a degree-1 modulus leaves the pairs of
+    the same scenario without ext unchanged."""
+    body = ("f = x^2 + x; g = x^2 + x; alpha = t + 1; beta = t\n"
+            "task = intersect; capM = 4; capN = 4")
+    pairs = []
+    for head in ("field = GF(2)\n", "field = GF(2); ext = y + t\n"):
+        sc = write(tmp_path, "deg1.txt", head + body)
+        rc, out, _ = run_cli(capsys, "--scenario", sc, "--format", "json")
+        assert rc == EXIT_OK
+        (run,) = json.loads(out)["runs"]
+        pairs.append(run["pairs"])
+    assert pairs[0] == pairs[1] == [[n, n] for n in range(1, 5)]
+
+
 def test_json_output_is_byte_deterministic(tmp_path, capsys):
     sc = write(tmp_path, "quad.txt", QUADRATIC)
     _, out1, _ = run_cli(capsys, "--scenario", sc, "--format", "json")

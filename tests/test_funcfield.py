@@ -9,7 +9,7 @@ against repeated multiplication.
 import importlib.util
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
@@ -719,14 +719,30 @@ def test_sparse_xgcd_identity(operands):
         assert max(g) >= max(c)
 
 
-@given(coeffs=st.lists(ratfunc_strategy(GF3, max_deg=2), max_size=5),
-       x=ratfunc_strategy(GF3, max_deg=2))
+@given(coeffs=st.lists(st.tuples(
+           st.one_of(st.just(RatFunc.one(GF3)), ratfunc_strategy(GF3, max_deg=2)),
+           st.booleans()), max_size=5),
+       x=ratfunc_strategy(GF3, max_deg=2), ext=st.booleans())
+@example(coeffs=[], x=RatFunc.t(GF3), ext=True)
+@example(coeffs=[(RatFunc.one(GF3), False)], x=RatFunc.t(GF3), ext=False)
+@example(coeffs=[(RatFunc.one(GF3), True)], x=RatFunc.t(GF3), ext=True)
 @settings(max_examples=40, deadline=None)
-def test_dynpoly_evaluate_matches_horner(coeffs, x):
-    want = RatFunc.zero(GF3)
-    for c in reversed(coeffs):
+def test_dynpoly_evaluate_matches_horner(coeffs, x, ext):
+    """Coefficients equal to 1, constant and zero maps included.  With ext,
+    over K[y]/(y^2 + y + t) at x + y, and a coefficient drawn with True
+    gets y added."""
+    ring = KRing(GF3)
+    values = [c for c, _ in coeffs]
+    if ext:
+        ring = ExtRing(GF3, (RatFunc.t(GF3), RatFunc.one(GF3), RatFunc.one(GF3)))
+        y = ring.y()
+        x = ring.from_K(x) + y
+        values = [ring.from_K(c) + y if shift else ring.from_K(c)
+                  for c, shift in coeffs]
+    want = ring.zero()
+    for c in reversed(values):
         want = want * x + c
-    f = DynPoly.make(KRing(GF3), dict(enumerate(coeffs)))
+    f = DynPoly.make(ring, dict(enumerate(values)))
     assert f.evaluate(x) == want
 
 
@@ -746,8 +762,24 @@ def test_ext_generator_satisfies_modulus():
         ring = artin_schreier(spec)
         y = ring.y()
         t = ring.from_K(RatFunc.t(spec))
-        assert ring.frobenius_of_generator() == brute_pow(y, spec.p)
+        basis = ring.frobenius_basis()
+        assert len(basis) == ring.degree
+        for i, b in enumerate(basis):
+            assert ring.from_terms(b) == brute_pow(y, spec.p * i), i
         assert y ** spec.p == y + t
+
+
+def test_ext_degree_one_modulus():
+    """K[y]/(y + m_0) is K with y = -m_0: y() reduces, and Frobenius is
+    Frobenius of K."""
+    for spec in (GF2, GF3, GF9):
+        m0 = rat(spec, {1: spec.unit, 0: spec.unit}, {2: spec.unit})
+        ring = ExtRing(spec, (m0, RatFunc.one(spec)))
+        assert ring.y() == ring.from_K(-m0)
+        assert ring.frobenius_basis() == ({0: RatFunc.one(spec)},)
+        v = ring.from_K(m0 + RatFunc.t(spec))
+        assert v.frobenius(2) == ring.from_K((m0 + RatFunc.t(spec)) ** spec.p ** 2)
+        assert ring.y() ** spec.p == ring.from_K((-m0) ** spec.p)
 
 
 def test_ext_arithmetic_basics():
@@ -803,6 +835,36 @@ def brute_pow(v, n):
     for _ in range(n):
         acc = acc * v
     return acc
+
+
+@st.composite
+def ext_elements(draw):
+    """An element of K[y]/(M) over GF(2/3/5/9) for M Artin-Schreier,
+    y^2 + y + t, the reducible y^2 - t^2, or a random monic modulus of
+    degree 1-3 whose coefficients have denominators."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    one, t, zero = RatFunc.one(spec), RatFunc.t(spec), RatFunc.zero(spec)
+    fixed = (artin_schreier(spec).modulus, (t, one, one),
+             (-(t * t), zero, one))
+    drawn = st.integers(1, 3).flatmap(lambda d: st.lists(
+        ratfunc_strategy(spec, max_deg=1), min_size=d, max_size=d))
+    modulus = draw(st.one_of(st.sampled_from(fixed),
+                             drawn.map(lambda low: tuple(low) + (one,))))
+    ring = ExtRing(spec, modulus)
+    return ring.elem(draw(st.lists(ratfunc_strategy(spec, max_deg=1),
+                                   min_size=ring.degree,
+                                   max_size=ring.degree)))
+
+
+@given(ext_elements())
+@settings(max_examples=60, deadline=None)
+def test_ext_frobenius_matches_brute_force(v):
+    """v.frobenius(k) = v^(p^k), powered as k rounds of p-fold repeated
+    multiplication (one run of p^3 products over GF(5) takes seconds)."""
+    want = v
+    for k in range(1, 4):
+        want = brute_pow(want, v.spec.p)
+        assert v.frobenius(k) == want, k
 
 
 def test_ext_pow_matches_brute_force():

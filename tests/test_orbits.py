@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
-from fforbits.funcfield import RatFunc
+from fforbits.funcfield import ExtRing, FFPoly, RatFunc
 from fforbits.dynpoly import DynPoly, KRing, orbit_element
 from fforbits.heights import PruningData, derive_pruning, pruned_candidates
 from fforbits.orbits import (PlaneCurve, ReturnModel, ReturnSet,
@@ -168,6 +168,44 @@ def test_plane_curve_diagonal():
     t = RatFunc.t(GF2)
     assert not curve.evaluate(t, t)
     assert curve.evaluate(t, t + RatFunc.one(GF2))
+
+
+def small_ratfunc(spec):
+    poly = st.dictionaries(st.integers(0, 2), st.integers(0, spec.p - 1),
+                           max_size=3).map(lambda d: FFPoly.make(spec, d))
+    return st.tuples(poly, poly.filter(bool)).map(
+        lambda nd: RatFunc.make(*nd))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_plane_curve_evaluate_matches_sum_loop(data):
+    """Coefficients equal to 1 and constant curves included, over K and
+    over K[y]/(y^2 + y + t), where a coefficient or point may have y
+    added."""
+    spec = data.draw(st.sampled_from((GF2, GF3)))
+    one = RatFunc.one(spec)
+    ring = KRing(spec)
+
+    def lift(v, shift):
+        return v
+    if data.draw(st.booleans()):
+        ring = ExtRing(spec, (RatFunc.t(spec), one, one))
+
+        def lift(v, shift):
+            return ring.from_K(v) + ring.y() if shift else ring.from_K(v)
+    scalar = st.builds(lift, st.one_of(st.just(one), small_ratfunc(spec)),
+                       st.booleans())
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = data.draw(st.one_of(
+        st.dictionaries(exps, scalar, max_size=5),
+        scalar.map(lambda c: {(0, 0): c})).filter(lambda d: any(d.values())))
+    v1, v2 = data.draw(scalar), data.draw(scalar)
+    curve = PlaneCurve.make(ring, terms)
+    want = ring.zero()
+    for (e1, e2), c in curve.terms.items():
+        want = want + c * v1 ** e1 * v2 ** e2
+    assert curve.evaluate(v1, v2) == want
 
 
 def test_curve_return_diagonal_matches_synchronized():
