@@ -222,6 +222,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative(text: str) -> int:
+    # the same rule as the scenario keys these flags override
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="fforbits",
@@ -231,16 +243,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--verify-all", action="store_true",
                     help="run the built-in identity suite")
     ap.add_argument("--format", choices=("json", "text"), default="text")
-    ap.add_argument("--cap-m", type=int, default=None, metavar="M",
+    ap.add_argument("--cap-m", type=_nonnegative, default=None, metavar="M",
                     help="override capM for all scenarios")
-    ap.add_argument("--cap-n", type=int, default=None, metavar="N",
+    ap.add_argument("--cap-n", type=_nonnegative, default=None, metavar="N",
                     help="override capN for all scenarios")
-    ap.add_argument("--degree-budget", type=int, default=None, metavar="W",
+    ap.add_argument("--degree-budget", type=_nonnegative, default=None,
+                    metavar="W",
                     help=f"symbolic work limit (default "
                          f"{DEFAULT_DEGREE_BUDGET})")
-    ap.add_argument("--tau-budget", type=int, default=None, metavar="D",
+    ap.add_argument("--tau-budget", type=_nonnegative, default=None,
+                    metavar="D",
                     help=f"twisted degree limit (default {DEFAULT_TAU_BUDGET})")
-    ap.add_argument("--pmax", type=int, default=None,
+    ap.add_argument("--pmax", type=_nonnegative, default=None,
                     help="restrict --verify-all to primes <= pmax")
     return ap
 

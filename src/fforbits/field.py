@@ -28,13 +28,16 @@ coefficients: with p they are ints reduced mod p, with p = 0 they are
 values that bring their own arithmetic (FieldElem, RatFunc, ExtElem) and
 have is_one() and inverse().  Over GF(p), sparse_mul multiplies dense
 operands as one product of two ints (Kronecker substitution), exact because
-no slot of that product can carry into the next (see sparse_mul).
+no slot of that product can carry into the next (see sparse_mul); slots of
+1, 2, 4 or 8 bytes move between coefficients and ints as arrays.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from array import array
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DivisionByZero, ParseError, ReducibleModulus, RingMismatch
@@ -595,9 +598,13 @@ def dense_coeffs(terms: dict, n: int, zero) -> tuple:
 
 
 # sparse_mul packs from this many terms on each side (below, the schoolbook
-# loop is as fast) while an operand spans at most this many exponents per term
-_PACK_TERMS = 16
+# loop is as fast; measured over GF(3) and GF(5)) while an operand spans at
+# most this many exponents per term
+_PACK_TERMS = 8
 _PACK_SPAN = 2
+# the array type code of each slot width sparse_mul moves natively
+_SLOT_CODES = {array(c).itemsize: c for c in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
@@ -638,6 +645,17 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
     sums at most min(len a, len b) products below p^2, so w bytes that hold
     (p-1)^2 * min(len a, len b) never carry and each slot, reduced mod p,
     is one coefficient.
+
+    When w is an array itemsize (1, 2, 4 or 8 bytes) the slots are packed
+    and read as one little-endian array; any other w (3 bytes over GF(3)
+    from about 2^14 terms, 9 or more for p near 2^31) goes slot by slot
+    through int.from_bytes.  w is never rounded up to an itemsize: the
+    ints grow with it and their product more than linearly.  Squaring 2^16
+    terms over GF(3) (2-vCPU Xeon, Python 3.11) took 208-225 ms with 4-byte
+    slots against 124-171 ms with 3, more than the array unpack saves
+    (14 against 50 ms).  With the array moves the packed product is faster
+    than the schoolbook loop from about 8 dense terms on each side, hence
+    _PACK_TERMS.
     """
     if len(b) == 1:
         a, b = b, a
@@ -652,17 +670,29 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
         span_a, span_b = max(a) - lo_a, max(b) - lo_b
         if span_a <= _PACK_SPAN * len(a) and span_b <= _PACK_SPAN * len(b):
             w = ((p - 1) ** 2 * n).bit_length() + 7 >> 3
+            code = _SLOT_CODES.get(w)
 
             def pack(t, lo, span):
-                return int.from_bytes(b"".join([
-                    t.get(e, 0).to_bytes(w, "little")
-                    for e in range(lo, lo + span + 1)]), "little")
+                coeffs = [t.get(e, 0) for e in range(lo, lo + span + 1)]
+                if code is None:
+                    return int.from_bytes(b"".join([
+                        c.to_bytes(w, "little") for c in coeffs]), "little")
+                slots = array(code, coeffs)
+                if _BIG_ENDIAN:
+                    slots.byteswap()
+                return int.from_bytes(slots, "little")
             x = pack(a, lo_a, span_a)
             x = x * x if a is b else x * pack(b, lo_b, span_b)
             raw = x.to_bytes(w * (span_a + span_b + 1), "little")
+            if code is None:
+                slots = (int.from_bytes(raw[i:i + w], "little")
+                         for i in range(0, len(raw), w))
+            else:
+                slots = array(code, raw)
+                if _BIG_ENDIAN:
+                    slots.byteswap()
             lo = lo_a + lo_b
-            return {lo + i // w: v for i in range(0, len(raw), w)
-                    if (v := int.from_bytes(raw[i:i + w], "little") % p)}
+            return {lo + i: v for i, s in enumerate(slots) if (v := s % p)}
     return sparse_lincomb(((a, b),), p)
 
 

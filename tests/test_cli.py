@@ -124,6 +124,59 @@ def test_cap_overrides(tmp_path, capsys):
     assert run["count"] == 4
 
 
+_LIMIT_FLAGS = [("--cap-m", "capM"), ("--cap-n", "capN"),
+                ("--degree-budget", "degreeBudget"),
+                ("--tau-budget", "tauBudget"), ("--pmax", "pmax")]
+
+
+@pytest.mark.parametrize("flag", [f for f, _ in _LIMIT_FLAGS])
+def test_negative_limit_flag_is_invalid(tmp_path, capsys, flag):
+    """Each limit flag refuses -1 as the scenario key does: exit 3 before
+    any work, nothing on stdout."""
+    sc = write(tmp_path, "quad.txt", QUADRATIC)
+    with pytest.raises(SystemExit) as info:
+        main(["--scenario", sc, "--verify-all", flag, "-1"])
+    assert info.value.code == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert flag in err and "nonnegative" in err
+
+
+@pytest.mark.parametrize("flag,key", _LIMIT_FLAGS[:4])
+def test_zero_limit_flag_runs_as_the_scenario_key(tmp_path, capsys, flag,
+                                                  key):
+    """A flag at 0 gives the report and exit code of the same key at 0 in
+    the file, less the file's echo of its own keys."""
+    text = QUADRATIC.replace("capM = 32; capN = 32\n", "")
+    limits = {"capM": 32, "capN": 32}
+    plain = write(tmp_path, "plain.txt", text + "".join(
+        f"{k} = {v}\n" for k, v in limits.items()))
+    keyed = write(tmp_path, "keyed.txt", text + "".join(
+        f"{k} = {v}\n" for k, v in {**limits, key: 0}.items()))
+    reports = []
+    for args in (["--scenario", keyed], ["--scenario", plain, flag, "0"]):
+        rc, out, _ = run_cli(capsys, *args, "--format", "json")
+        report = json.loads(out)
+        for run in report["runs"]:
+            run.pop("scenario")
+        reports.append((rc, report))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == EXIT_OK
+
+
+def test_zero_pmax_runs_as_the_scenario_key(tmp_path, capsys):
+    """--pmax 0 cuts check 2.8 of the suite as `pmax = 0` cuts that example."""
+    sc = write(tmp_path, "v.txt", "example = 2.8; pmax = 0")
+    rc, out, _ = run_cli(capsys, "--scenario", sc, "--format", "json")
+    (run,) = json.loads(out)["runs"]
+    assert rc == EXIT_OK
+    rc, out, _ = run_cli(capsys, "--verify-all", "--pmax", "0",
+                         "--format", "json")
+    (suite,) = json.loads(out)["runs"]
+    assert rc == EXIT_OK
+    assert [c for c in suite["checks"] if c["id"] == "2.8"] == run["checks"]
+
+
 def test_multiple_scenarios_preserve_order(tmp_path, capsys):
     a = write(tmp_path, "a.txt", QUADRATIC)
     b = write(tmp_path, "b.txt",

@@ -3,8 +3,10 @@ Tests for the constant-field layer: prime fields, extension fields given by
 an explicit modulus, Frobenius, and binomial coefficients mod p.
 """
 import copy
+import hashlib
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,61 @@ def test_sparse_lincomb_is_sum_of_products(spec, data):
         for e, c in a.items():
             want = sparse_add(want, sparse_mul({e: c}, b, p), p)
     assert sparse_lincomb(pairs, p) == want
+
+
+@st.composite
+def dense_operand(draw, p, least, max_terms=60):
+    """A canonical dict over GF(p) dense enough for sparse_mul to pack: n
+    terms, n >= least >= _PACK_TERMS, on at most _PACK_SPAN * n exponents
+    from a lowest exponent above 0."""
+    n = draw(st.integers(least, max_terms))
+    span = draw(st.integers(n - 1, field._PACK_SPAN * n))
+    lo = draw(st.integers(1, 40))
+    inner = draw(st.permutations(range(1, span)))[:n - 2]
+    # half the values near p - 1, so that product slots fill their top byte
+    coeff = st.integers(1, p - 1)
+    coeffs = draw(st.lists(coeff | coeff.map(lambda c: p - c),
+                           min_size=n, max_size=n))
+    return dict(zip([lo, lo + span] + [lo + e for e in inner], coeffs))
+
+
+# (p, least n, slot width w): w bytes hold (p-1)^2 * n for every n drawn;
+# widths 1, 2, 4 and 8 are array itemsizes, 3, 5 and 9 are not
+_SLOT_WIDTHS = [(3, 8, 1), (5, 16, 2), (257, 8, 3), (4099, 8, 4),
+                (65521, 8, 5), (268435399, 8, 8), (2**31 - 1, 8, 9)]
+
+
+@pytest.mark.parametrize("p,least,w", _SLOT_WIDTHS,
+                         ids=[f"w{w}" for _, _, w in _SLOT_WIDTHS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_mul_matches_schoolbook(p, least, w, data):
+    """sparse_mul's packed product, at each slot width, equals the
+    schoolbook sparse_lincomb of the one pair and is canonical; squares
+    (a is b) and distinct operands, lowest exponents above 0."""
+    a = data.draw(dense_operand(p, least))
+    b = a if data.draw(st.booleans()) else data.draw(dense_operand(p, least))
+    n = min(len(a), len(b))
+    assert ((p - 1) ** 2 * n).bit_length() + 7 >> 3 == w
+    got = sparse_mul(a, b, p)
+    assert got == sparse_lincomb(((a, b),), p)
+    assert all(type(c) is int and 0 < c < p for c in got.values())
+
+
+def test_dense_orbit_point_through_three_byte_slots():
+    """The f-orbit of scenarios/intersect-dense.txt at cap 16: its last step
+    squares a point of at least 2^14 terms over GF(3), the first product of
+    that run whose slots take 3 bytes.  The digest of str() of that point
+    was recorded with the int.from_bytes unpacking of every slot."""
+    from fforbits.dynpoly import orbit_prefix
+    from fforbits.parser import parse_scenario
+    root = Path(__file__).resolve().parents[1]
+    sc = parse_scenario(
+        (root / "scenarios" / "intersect-dense.txt").read_text())
+    orbit = orbit_prefix(sc.f, sc.alpha, 16)
+    assert 4 * len(orbit[15].num.terms) >= 1 << 16
+    assert hashlib.sha256(str(orbit[16]).encode()).hexdigest() == (
+        "aeedf7cf95e9f3093f1ee00c7d88a7416dfc90270518e722f9ddf804b202d97d")
 
 
 @given(m=st.integers(min_value=0, max_value=2000),

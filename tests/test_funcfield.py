@@ -667,7 +667,8 @@ def test_sparse_mul_matches_double_loop(operands):
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 31, 2 ** 31 - 1))
-@pytest.mark.parametrize("n", (_PACK_TERMS - 1, _PACK_TERMS, 4 * _PACK_TERMS))
+# both sides of _PACK_TERMS, then packed sizes up to a long operand
+@pytest.mark.parametrize("n", (_PACK_TERMS - 1, _PACK_TERMS, 15, 16, 64))
 @pytest.mark.parametrize("stretch", (0, 1))
 def test_sparse_mul_at_the_packing_thresholds(p, n, stretch):
     """Operands of n terms with every coefficient p - 1, spanning exactly
