@@ -7,11 +7,9 @@ wall-clock data; elapsed time goes to stderr).  Exit codes: 0 success,
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__ as VERSION
@@ -29,10 +27,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _as_dynpoly(value, key: str) -> DynPoly:
@@ -76,9 +70,9 @@ def run_scenario(sc: Scenario) -> dict:
                     "function field and cannot run in an extension")
             pruning = derive_pruning(f, sc.alpha, g, sc.beta,
                                      sc.cap_m, sc.cap_n)
-            report["pruning"] = {"u1": _frac(pruning.u1),
-                                 "u2": _frac(pruning.u2),
-                                 "c": _frac(pruning.c)}
+            report["pruning"] = {"u1": str(pruning.u1),
+                                 "u2": str(pruning.u2),
+                                 "c": str(pruning.c)}
         rs = intersect_orbits(f, sc.alpha, g, sc.beta,
                               sc.cap_m, sc.cap_n, pruning)
         report["pruned"] = sc.prune
@@ -89,7 +83,7 @@ def run_scenario(sc: Scenario) -> dict:
             model = fit_return_model(rs, sc.spec.p, sc.cap_n)
             report["model"] = {
                 "aps": [[step, start] for step, start in model.aps],
-                "psets": [[_frac(a), _frac(b), r] for a, b, r in model.psets],
+                "psets": [[str(a), str(b), r] for a, b, r in model.psets],
                 "finite": list(model.finite),
                 "rendered": str(model)}
         return report
@@ -123,13 +117,13 @@ def run_scenario(sc: Scenario) -> dict:
         gap = height_gap_constant(f)
         est = canonical_height(f, sc.alpha, sc.target_error)
         rat = rationalize(est, sc.denominator_bound)
-        report["gapConstant"] = _frac(gap.B)
-        report["height"] = {"value": _frac(est.value),
-                            "errorBound": _frac(est.error_bound),
+        report["gapConstant"] = str(gap.B)
+        report["height"] = {"value": str(est.value),
+                            "errorBound": str(est.error_bound),
                             "iterations": est.iterations}
-        report["targetError"] = _frac(sc.target_error)
+        report["targetError"] = str(sc.target_error)
         report["denomBound"] = sc.denominator_bound
-        report["rational"] = None if rat is None else _frac(rat)
+        report["rational"] = None if rat is None else str(rat)
         return report
 
     raise ValidationError("task", f"unhandled task {sc.task!r}")
@@ -260,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
-    return dataclasses.replace(sc, **{
+    return sc.replace(**{
         name: getattr(args, name)
         for name in ("cap_m", "cap_n", "degree_budget", "tau_budget")
         if getattr(args, name) is not None})

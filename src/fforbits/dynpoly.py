@@ -16,7 +16,6 @@ is never metered since it cannot blow up the same way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
@@ -351,13 +350,10 @@ def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
     return DynPoly(g.ring, out)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Frozen):
     """x -> a*x + b with a invertible; the conjugating maps."""
 
-    ring: Ring
-    a: Scalar
-    b: Scalar
+    __slots__ = ("ring", "a", "b")
 
     @classmethod
     def make(cls, ring: Ring, a, b) -> "LinearMap":
@@ -390,9 +386,6 @@ class LinearMap:
 
     def as_dynpoly(self) -> DynPoly:
         return DynPoly.make(self.ring, {1: self.a, 0: self.b})
-
-    def is_identity(self) -> bool:
-        return self.a.is_one() and not self.b
 
     def __str__(self) -> str:
         return str(self.as_dynpoly())
@@ -442,15 +435,12 @@ def is_additive(f: DynPoly) -> bool:
     return all(_is_p_power(e, p) for e in f.terms)
 
 
-@dataclass(frozen=True)
-class AdditiveConjugacy:
-    """Outcome of conjugate_to_additive: additive = map o f o map^(-1)."""
+class AdditiveConjugacy(Frozen):
+    """Outcome of conjugate_to_additive: additive = map o f o map^(-1).
+    When in_extension is True the witness generates K[y]/(G), which need
+    not be a field; arithmetic there flags zero divisors lazily."""
 
-    map: LinearMap
-    additive: DynPoly
-    in_extension: bool
-    # when in_extension is True the witness generates K[y]/(G) which need
-    # not be a field; arithmetic there flags zero divisors lazily
+    __slots__ = ("map", "additive", "in_extension")
 
 
 def conjugate_to_additive(f: DynPoly,

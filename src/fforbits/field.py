@@ -1,6 +1,7 @@
-"""Arithmetic in GF(p) and GF(p^r), the sparse polynomial kernels, the one
-power routine, base-p binomial residues, and format_terms, which prints
-field elements, moduli and the maps of the other modules.
+"""Frozen, the one base of the package's value types; arithmetic in GF(p)
+and GF(p^r), the sparse polynomial kernels, the one power routine, base-p
+binomial residues, and format_terms, which prints field elements, moduli
+and the maps of the other modules.
 
 A FieldSpec pins down the field: the characteristic p (a prime that fits in
 a machine word), the extension degree r, and for r > 1 a monic degree-r
@@ -70,17 +71,71 @@ def _is_prime(n: int) -> bool:
 
 
 class Frozen:
-    """Base of the immutable value types.
+    """The one base of the package's immutable value types.
 
-    A subclass lists its state in __slots__ and stores it in __init__ with
-    object.__setattr__; after that every attribute write or delete raises.
-    Copying and pickling call the constructor again with the public slots,
-    in order, as its arguments (a subclass where they differ overrides
-    __reduce__), so private caches such as a hash seeded by strings are
-    recomputed in the process that loads the value.
+    A subclass lists its state in __slots__.  The public slots (names
+    without a leading "_"), in order, are its fields: the generic __init__
+    takes them positionally or by keyword, with defaults from the class
+    mapping _defaults, and a missing or unknown field raises TypeError.
+    Equality (same type, equal fields), hash, repr and replace() are over
+    the fields too.  A subclass with private state (a cached hash, tables)
+    writes its own __init__ with object.__setattr__, and may override the
+    comparisons.  After construction every attribute write or delete
+    raises.  Copying, pickling and replace() call the constructor again
+    with the fields as its arguments (a subclass where they differ
+    overrides __reduce__ and cannot use replace()), so private caches such
+    as a hash seeded by strings are recomputed in the process that loads
+    the value.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__
+                            if not name.startswith("_"))
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} "
+                            f"fields, got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for name in kwargs:
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or "
+                                f"repeated field {name!r}")
+        values.update(kwargs)
+        for name in cls._fields:
+            if name in values:
+                object.__setattr__(self, name, values[name])
+            elif name in cls._defaults:
+                object.__setattr__(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inside = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({inside})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**dict(zip(self._fields, self._values()),
+                                 **changes))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -89,9 +144,7 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        cls = type(self)
-        return cls, tuple(getattr(self, name) for name in cls.__slots__
-                          if not name.startswith("_"))
+        return type(self), self._values()
 
 
 class FieldSpec(Frozen):

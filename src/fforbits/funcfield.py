@@ -700,11 +700,3 @@ class KRing(Frozen):
 
     def __repr__(self) -> str:
         return f"KRing({self.spec.format()}(t))"
-
-
-def ring_of(value) -> Union[KRing, ExtRing]:
-    if isinstance(value, RatFunc):
-        return KRing(value.spec)
-    if isinstance(value, ExtElem):
-        return value.ring
-    raise TypeError(f"not a ring element: {value!r}")

@@ -9,31 +9,28 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
 from .dynpoly import DynPoly, orbit_element
+from .field import Frozen
 from .funcfield import KRing, RatFunc
 
 DEFAULT_TARGET_ERROR = Fraction(1, 64)
 
 
-@dataclass(frozen=True)
-class HeightGapConstant:
-    """B with |h(f(gamma)) - d*h(gamma)| <= B for every gamma in K."""
+class HeightGapConstant(Frozen):
+    """The int B with |h(f(gamma)) - d*h(gamma)| <= B for every gamma in K."""
 
-    B: int
+    __slots__ = ("B",)
 
 
-@dataclass(frozen=True)
-class HeightEstimate:
-    """h(f^N(gamma)) / d^N, within error_bound of the canonical height."""
+class HeightEstimate(Frozen):
+    """value = h(f^N(gamma)) / d^N, a Fraction within the Fraction
+    error_bound of the canonical height, where N = iterations."""
 
-    value: Fraction
-    error_bound: Fraction
-    iterations: int
+    __slots__ = ("value", "error_bound", "iterations")
 
     def interval(self) -> Tuple[Fraction, Fraction]:
         return (self.value - self.error_bound, self.value + self.error_bound)
@@ -170,14 +167,11 @@ def _factorize(n: int) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class PruningData:
-    """Height data driving the collision sieve: canonical-height values for
-    the two starting points and the slack constant c."""
+class PruningData(Frozen):
+    """Height data driving the collision sieve: canonical-height values u1,
+    u2 for the two starting points and the slack constant c, as Fractions."""
 
-    u1: Fraction
-    u2: Fraction
-    c: Fraction
+    __slots__ = ("u1", "u2", "c")
 
     def admits(self, d: int, e: int, m: int, n: int) -> bool:
         """The sieve test |d^m * u1 - e^n * u2| < c for maps of degrees d, e.

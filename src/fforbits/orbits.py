@@ -15,7 +15,6 @@ describes the data within the caps and claims nothing beyond them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -26,15 +25,11 @@ from .funcfield import RatFunc
 from .heights import PruningData, multiplicative_dependence
 
 
-@dataclass(frozen=True)
-class ReturnSet:
-    """Collision pairs (m, n) with f^m(alpha) = g^n(beta), sorted, within
-    the caps that were searched."""
+class ReturnSet(Frozen):
+    """Collision pairs (m, n) with f^m(alpha) = g^n(beta), a sorted tuple,
+    within the caps that were searched."""
 
-    pairs: Tuple[Tuple[int, int], ...]
-    cap_m: int
-    cap_n: int
-    exhaustive: bool
+    __slots__ = ("pairs", "cap_m", "cap_n", "exhaustive")
 
     def n_values(self) -> List[int]:
         return sorted({n for _, n in self.pairs})
@@ -95,19 +90,12 @@ def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
     return out
 
 
-@dataclass(frozen=True)
-class SameDegreeReduction:
-    """Replacement data (f^r, g^s, shifted starting points) with equal
-    degrees, plus the exponents used."""
+class SameDegreeReduction(Frozen):
+    """Replacement data (f1, g1) = (f^r, g^s) with equal degrees, the
+    shifted starting points alpha1 = f^a(alpha), beta1 = g^b(beta), and the
+    exponents used."""
 
-    f1: DynPoly
-    g1: DynPoly
-    alpha1: object
-    beta1: object
-    r: int
-    s: int
-    a: int
-    b: int
+    __slots__ = ("f1", "g1", "alpha1", "beta1", "r", "s", "a", "b")
 
 
 def reduce_to_same_degree(f: DynPoly, alpha, g: DynPoly, beta,
@@ -145,10 +133,6 @@ class PlaneCurve(Frozen):
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-
     @classmethod
     def make(cls, ring, terms: dict) -> "PlaneCurve":
         clean = {}
@@ -179,10 +163,6 @@ class PlaneCurve(Frozen):
                 v = c * v
             acc = v if acc is None else acc + v
         return self.ring.zero() if acc is None else acc
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PlaneCurve) and self.ring == other.ring
-                and self.terms == other.terms)
 
     def __str__(self) -> str:
         parts = []
@@ -215,17 +195,13 @@ def curve_return_set(f: DynPoly, g: DynPoly, gamma: Tuple, curve: PlaneCurve,
     return out
 
 
-@dataclass(frozen=True)
-class ReturnModel:
-    """A description of a return set within a cap: arithmetic progressions
-    (step, start), p-sets (a, b, r) standing for {a*p^(r*k)+b : k >= 0},
-    and a finite remainder."""
+class ReturnModel(Frozen):
+    """A description of a return set within a cap: a tuple of arithmetic
+    progressions (step, start), a tuple of p-sets (a, b, r) with Fractions
+    a, b standing for {a*p^(r*k)+b : k >= 0}, and a finite remainder, a
+    tuple of ints."""
 
-    p: int
-    cap: int
-    finite: Tuple[int, ...]
-    aps: Tuple[Tuple[int, int], ...]
-    psets: Tuple[Tuple[Fraction, Fraction, int], ...]
+    __slots__ = ("p", "cap", "finite", "aps", "psets")
 
     def members(self) -> List[int]:
         """Every modeled value within the cap, sorted and deduplicated."""

@@ -12,13 +12,12 @@ and parse(print(v)) == v holds for all of them; that round trip is what
 pins down the canonical form.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import (DegreeBudgetExceeded, MixedVariables, ParseError,
                      UndefinedSymbol, ValidationError)
-from .field import FieldSpec, dense_coeffs, power
+from .field import FieldSpec, Frozen, dense_coeffs, power
 from .funcfield import ExtElem, ExtRing, KRing, RatFunc
 from .dynpoly import (DEFAULT_DEGREE_BUDGET, DynPoly, _WorkMeter)
 from .twisted import DEFAULT_TAU_BUDGET, TwistedPoly
@@ -429,29 +428,22 @@ _LIMIT_KEYS = {"capM": "cap_m", "capN": "cap_n",
                "denomBound": "denominator_bound"}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A validated unit of work read from one scenario file."""
+class Scenario(Frozen):
+    """A validated unit of work read from one scenario file: the task, its
+    field and maps (None where the task takes none), the limits, the int
+    params of the task (a dict) and the file's keys as read (the dict
+    echo)."""
 
-    task: str
-    spec: Optional[FieldSpec] = None
-    ext: Optional[ExtRing] = None
-    f: Union[DynPoly, TwistedPoly, None] = None
-    g: Union[DynPoly, TwistedPoly, None] = None
-    alpha: Union[RatFunc, ExtElem, None] = None
-    beta: Union[RatFunc, ExtElem, None] = None
-    curve: Optional[PlaneCurve] = None
-    cap_m: int = 64
-    cap_n: int = 64
-    degree_budget: int = DEFAULT_DEGREE_BUDGET
-    tau_budget: int = DEFAULT_TAU_BUDGET
-    target_error: Fraction = Fraction(1, 64)
-    denominator_bound: int = 8
-    prune: bool = False
-    example: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    expect: Optional[str] = None
-    echo: dict = field(default_factory=dict)
+    __slots__ = ("task", "spec", "ext", "f", "g", "alpha", "beta", "curve",
+                 "cap_m", "cap_n", "degree_budget", "tau_budget",
+                 "target_error", "denominator_bound", "prune", "example",
+                 "params", "expect", "echo")
+    _defaults = {"spec": None, "ext": None, "f": None, "g": None,
+                 "alpha": None, "beta": None, "curve": None, "cap_m": 64,
+                 "cap_n": 64, "degree_budget": DEFAULT_DEGREE_BUDGET,
+                 "tau_budget": DEFAULT_TAU_BUDGET,
+                 "target_error": Fraction(1, 64), "denominator_bound": 8,
+                 "prune": False, "example": None, "expect": None}
 
 
 def _split_statements(text: str):

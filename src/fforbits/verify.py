@@ -8,24 +8,20 @@ identity with both sides printed in canonical form.
 """
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .errors import ValidationError
-from .field import FieldSpec, binom_mod
+from .field import FieldSpec, Frozen, binom_mod
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DynPoly, LinearMap, conjugate, is_additive,
                       orbit_element, orbit_prefix, solve_affine_conjugacy)
 from .twisted import TwistedPoly, twisted_pow
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    slug: str
-    status: str          # PASS | FAIL | SKIPPED
-    detail: str
-    params: dict
+class CheckResult(Frozen):
+    """One check's outcome; status is PASS, FAIL or SKIPPED."""
+
+    __slots__ = ("check_id", "slug", "status", "detail", "params")
 
     def to_dict(self) -> dict:
         return {"id": self.check_id, "slug": self.slug, "status": self.status,

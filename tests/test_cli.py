@@ -326,16 +326,31 @@ def test_emit_report_stable_bytes():
     assert json.loads(b1.decode()) == report
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    """python -m fforbits runs from the source tree, no install needed."""
+def _source_env():
     src = str(Path(fforbits.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """python -m fforbits runs from the source tree, no install needed."""
     args = ["--verify-all", "--pmax", "2", "--format", "json"]
     proc = subprocess.run([sys.executable, "-m", "fforbits", *args],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=_source_env(), timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     _, out, _ = run_cli(capsys, *args)
     assert proc.stdout.decode() == out
     assert json.loads(out)["runs"][0]["summary"]["fail"] == 0
+
+
+def test_cli_import_leaves_dataclasses_out():
+    """The value types share field.Frozen, so a run does not pay for
+    importing dataclasses (and, before Python 3.13, inspect); -S keeps
+    site-packages' .pth hooks out of the count."""
+    code = "import sys, fforbits.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, env=_source_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "False"

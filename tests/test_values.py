@@ -2,22 +2,31 @@
 The value types are immutable keys: no attribute can be written or deleted
 after construction, and copy, deepcopy and pickle (at every protocol, and
 across processes whose string hashes differ) give back an equal value with
-an equal hash.
+an equal hash (none, for a value with a dict field).  The types on the
+generic constructor of field.Frozen take their fields by position or
+keyword and refuse a missing or unknown one, as a dataclass does.
 """
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fforbits
+from fforbits.dynpoly import AdditiveConjugacy, LinearMap
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, FFPoly, KRing, RatFunc
-from fforbits.parser import (ParseContext, parse_curve, parse_map,
+from fforbits.heights import (PruningData, canonical_height,
+                              height_gap_constant)
+from fforbits.orbits import (ReturnModel, intersect_orbits,
+                             reduce_to_same_degree)
+from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_map,
                              parse_modulus, parse_scalar, parse_scenario)
+from fforbits.verify import CheckResult
 
 GF3 = FieldSpec(3)
 GF4 = FieldSpec(2, 2, modulus=(1, 1, 1))
@@ -27,6 +36,8 @@ CTX3 = ParseContext(GF3)
 CTX4 = ParseContext(GF4)
 CTX_EXT = ParseContext(GF3, EXT)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+F = parse_map("x^2 + 1/t", CTX3)
+T = parse_scalar("t", CTX3)
 
 VALUES = {
     "FieldSpec GF(3)": GF3,
@@ -42,6 +53,34 @@ VALUES = {
     "DynPoly over ext": parse_map("y*x^3 + t", CTX_EXT),
     "TwistedPoly": parse_map("t*T^2 + T", CTX3),
     "PlaneCurve": parse_curve("x1^2 - t*x2", GF3, None),
+    "LinearMap": LinearMap.make(K3, 2, T),
+    "AdditiveConjugacy": AdditiveConjugacy(
+        LinearMap.shift(K3, T), parse_map("x^3 + t*x", CTX3), False),
+    "HeightGapConstant": height_gap_constant(F),
+    "HeightEstimate": canonical_height(F, T),
+    "PruningData": PruningData(Fraction(1, 3), Fraction(-2), Fraction(5)),
+    "ReturnSet": intersect_orbits(F, T, F, T, 3, 3),
+    "SameDegreeReduction": reduce_to_same_degree(
+        F, T, parse_map("x^4 + t", CTX3), T, 2, 2),
+    "ReturnModel": ReturnModel(3, 40, (5,), ((2, 0),),
+                               ((Fraction(1, 2), Fraction(-1, 2), 1),)),
+    "CheckResult": CheckResult("2.1", "slug", "PASS", "ok", {"p": 3}),
+}
+# a dict field makes the hash of the fields raise, as for a frozen dataclass
+UNHASHABLE = {"PlaneCurve", "CheckResult"}
+# the public slots, in order, name the constructor's fields
+FIELDS = {
+    "LinearMap": ("ring", "a", "b"),
+    "AdditiveConjugacy": ("map", "additive", "in_extension"),
+    "HeightGapConstant": ("B",),
+    "HeightEstimate": ("value", "error_bound", "iterations"),
+    "PruningData": ("u1", "u2", "c"),
+    "ReturnSet": ("pairs", "cap_m", "cap_n", "exhaustive"),
+    "SameDegreeReduction": ("f1", "g1", "alpha1", "beta1", "r", "s", "a",
+                            "b"),
+    "ReturnModel": ("p", "cap", "finite", "aps", "psets"),
+    "CheckResult": ("check_id", "slug", "status", "detail", "params"),
+    "PlaneCurve": ("ring", "terms"),
 }
 
 
@@ -63,7 +102,10 @@ def test_value_round_trips(name):
     for how, back in _round_trips(value):
         assert type(back) is type(value), how
         assert back == value, how
-        if name != "PlaneCurve":  # defines __eq__ only, so unhashable
+        if name in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(back)
+        else:
             assert hash(back) == hash(value), how
 
 
@@ -72,20 +114,55 @@ def test_scenario_round_trips(name):
     sc = _scenarios()[name]
     for how, back in _round_trips(sc):
         assert back == sc, how
+    with pytest.raises(TypeError):
+        hash(sc)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES) + ["Scenario"])
 def test_values_are_immutable(name):
     value = _scenarios()["curve-diagonal"] if name == "Scenario" \
         else VALUES[name]
-    slots = getattr(type(value), "__slots__", None) \
-        or list(type(value).__dataclass_fields__)
-    for attr in [*slots, "extra"]:
+    for attr in [*type(value).__slots__, "extra"]:
         with pytest.raises(AttributeError):
             setattr(value, attr, None)
         with pytest.raises(AttributeError):
             delattr(value, attr)
     assert value == copy.copy(value)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_fields_construct_by_position_or_keyword(name):
+    value = VALUES[name]
+    cls, fields = type(value), FIELDS[name]
+    args = tuple(getattr(value, field) for field in fields)
+    assert cls(*args) == value
+    assert cls(**dict(zip(fields, args))) == value
+    assert value.replace() == value
+    changed = value.replace(**{fields[-1]: None})
+    assert getattr(changed, fields[-1]) is None
+    assert [getattr(changed, f) for f in fields[:-1]] == list(args[:-1])
+    with pytest.raises(TypeError, match="missing"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(*args, extra=1)
+    with pytest.raises(TypeError, match="repeated"):
+        cls(*args, **{fields[0]: args[0]})
+    with pytest.raises(TypeError, match="unexpected"):
+        value.replace(extra=1)
+
+
+def test_scenario_defaults_and_replace():
+    required = {"task": "intersect", "params": {}, "echo": {}}
+    bare = Scenario(**required)
+    assert (bare.spec, bare.cap_m, bare.prune) == (None, 64, False)
+    for field in required:
+        with pytest.raises(TypeError, match=f"missing field '{field}'"):
+            Scenario(**{k: v for k, v in required.items() if k != field})
+    sc = _scenarios()["curve-diagonal"]
+    assert sc.replace(cap_m=3).cap_m == 3
+    assert sc.replace(cap_m=3).replace(cap_m=sc.cap_m) == sc
+    with pytest.raises(TypeError, match="capM"):
+        sc.replace(capM=3)
 
 
 _DUMP = """
