@@ -17,22 +17,21 @@ from .errors import (AlgebraError, BudgetExceeded, DegreeBudgetExceeded,
                      ReducibleModulus, RingMismatch, TauDegreeBudgetExceeded,
                      UndefinedSymbol, ValidationError, ZeroDivisor)
 from .field import FieldElem, FieldSpec, binom_mod
-from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc, weil_height
-from .dynpoly import (DEFAULT_DEGREE_BUDGET, AdditiveConjugacy, DynPoly,
-                      LinearMap, common_iterate, conjugate,
-                      conjugate_to_additive, is_additive, orbit_element,
-                      orbit_prefix, solve_affine_conjugacy)
-from .twisted import (DEFAULT_TAU_BUDGET, TwistedPoly, commute_at_iterate,
-                      twisted_pow)
+from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
+from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET,
+                      AdditiveConjugacy, Budget, DynPoly, LinearMap,
+                      common_iterate, conjugate, conjugate_to_additive,
+                      is_additive, orbit_element, orbit_prefix,
+                      solve_affine_conjugacy)
+from .twisted import TwistedPoly, twisted_pow
 from .heights import (HeightEstimate, HeightGapConstant, PruningData,
                       canonical_height, derive_pruning, height_gap_constant,
                       multiplicative_dependence, pruned_candidates,
                       rationalize)
 from .orbits import (PlaneCurve, ReturnModel, ReturnSet,
                      ap_implies_common_iterate, curve_return_set,
-                     detect_preperiodicity, fit_return_model,
-                     intersect_orbits, reduce_to_same_degree,
-                     synchronized_collisions)
+                     fit_return_model, intersect_orbits,
+                     reduce_to_same_degree, synchronized_collisions)
 from .parser import (ParseContext, Scenario, parse_curve, parse_expr,
                      parse_map, parse_modulus, parse_scalar, parse_scenario,
                      print_canonical)

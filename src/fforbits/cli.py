@@ -14,8 +14,8 @@ from typing import List, Optional
 
 from . import __version__ as VERSION
 from .errors import AlgebraError, BudgetExceeded, ParseError, ValidationError
-from .dynpoly import DEFAULT_DEGREE_BUDGET, DynPoly
-from .twisted import DEFAULT_TAU_BUDGET, TwistedPoly
+from .dynpoly import DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, DynPoly
+from .twisted import TwistedPoly
 from .heights import canonical_height, derive_pruning, height_gap_constant, \
     rationalize
 from .orbits import curve_return_set, fit_return_model, intersect_orbits, \
@@ -243,21 +243,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="override capN for all scenarios")
     ap.add_argument("--degree-budget", type=_nonnegative, default=None,
                     metavar="W",
-                    help=f"symbolic work limit (default "
-                         f"{DEFAULT_DEGREE_BUDGET})")
+                    help=f"override degreeBudget for all scenarios: the "
+                         f"degree and multiplications that expanding a "
+                         f"scenario's expressions may spend (default "
+                         f"{DEFAULT_DEGREE_BUDGET}); running out exits 2; "
+                         f"orbit walks are not metered")
     ap.add_argument("--tau-budget", type=_nonnegative, default=None,
                     metavar="D",
-                    help=f"twisted degree limit (default {DEFAULT_TAU_BUDGET})")
+                    help=f"override tauBudget for all scenarios: the highest "
+                         f"T-degree of a twisted power in a scenario "
+                         f"(default {DEFAULT_TAU_BUDGET}); running out exits "
+                         f"2")
     ap.add_argument("--pmax", type=_nonnegative, default=None,
                     help="restrict --verify-all to primes <= pmax")
     return ap
-
-
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    return sc.replace(**{
-        name: getattr(args, name)
-        for name in ("cap_m", "cap_n", "degree_budget", "tau_budget")
-        if getattr(args, name) is not None})
 
 
 def _load(path: str) -> str:
@@ -286,7 +285,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             runs.append({"kind": "verify", "checks": checks,
                          "summary": _verify_summary(checks)})
 
-        scenarios = [_apply_overrides(parse_scenario(_load(path)), args)
+        overrides = {"capM": args.cap_m, "capN": args.cap_n,
+                     "degreeBudget": args.degree_budget,
+                     "tauBudget": args.tau_budget}
+        scenarios = [parse_scenario(_load(path), overrides)
                      for path in args.scenario]
         runs.extend(run_scenario(sc) for sc in scenarios)
     except BudgetExceeded as exc:

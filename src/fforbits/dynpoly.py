@@ -6,11 +6,15 @@ Exponents are arbitrary-precision, which matters: additive polynomials have
 only p-power exponents and their iterates reach x^(p^k) for large k while
 staying a handful of terms.
 
-Symbolic expansion (compose, iterate, powers) is metered.  The budget is a
-single number bounding both the degree of anything expanded and the total
-number of coefficient multiplications spent; exceeding it raises
-DegreeBudgetExceeded rather than grinding away.  Pointwise orbit evaluation
-is never metered since it cannot blow up the same way.
+Symbolic expansion (compose, iterate, powers, here and in twisted and the
+parser) draws on one Budget.  Its degree work is a single number bounding
+both the degree of anything expanded and the total number of coefficient
+multiplications spent; its T-degree cap bounds twisted powers.  Running out
+raises DegreeBudgetExceeded or TauDegreeBudgetExceeded rather than grinding
+away.  A scenario run builds one Budget from its limits and every
+expression of the file draws on it; an entry point called without one gets
+a fresh default Budget for that call.  Pointwise orbit evaluation is not
+metered.
 """
 
 from __future__ import annotations
@@ -18,13 +22,15 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Union
 
-from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
+from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch,
+                     TauDegreeBudgetExceeded)
 from .field import (FieldSpec, Frozen, binom_mod, dense_coeffs,
                     format_terms, power, sparse_add, sparse_divmod,
                     sparse_mul, sparse_neg)
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
+DEFAULT_TAU_BUDGET = 4096
 DEFAULT_ROOT_HEIGHT = 8
 DEFAULT_ROOT_CANDIDATES = 200_000
 
@@ -32,16 +38,40 @@ Ring = Union[KRing, ExtRing]
 Scalar = Union[RatFunc, ExtElem]
 
 
-class _WorkMeter:
-    __slots__ = ("left",)
+class Budget:
+    """The limits of one run of symbolic expansion: the degree work still
+    left, and the cap on the T-degree of a twisted power."""
 
-    def __init__(self, budget: Optional[int]):
-        self.left = DEFAULT_DEGREE_BUDGET if budget is None else budget
+    __slots__ = ("left", "tau")
+
+    def __init__(self, degree: Optional[int] = None,
+                 tau: Optional[int] = None):
+        self.left = DEFAULT_DEGREE_BUDGET if degree is None else degree
+        self.tau = DEFAULT_TAU_BUDGET if tau is None else tau
+
+    @classmethod
+    def of(cls, budget: Optional["Budget"]) -> "Budget":
+        return cls() if budget is None else budget
+
+    def check(self, n: int, what: str = "degree budget exhausted") -> None:
+        """Raise unless n more units of work fit."""
+        if n > self.left:
+            raise DegreeBudgetExceeded(what)
 
     def charge(self, n: int) -> None:
+        self.check(n)
         self.left -= n
-        if self.left < 0:
+
+    def check_degree(self, d: int, n: int, scale: int = 1) -> None:
+        """Raise unless d^n * scale fits, without forming a giant d^n."""
+        if d > 1 and (n * (d.bit_length() - 1) > 64
+                      or d ** n * scale > self.left):
             raise DegreeBudgetExceeded("degree budget exhausted")
+
+    def check_tau(self, degree: int) -> None:
+        if degree > self.tau:
+            raise TauDegreeBudgetExceeded(
+                f"T-degree {degree} exceeds budget {self.tau}")
 
 
 def _scalar_in(ring: Ring, value) -> Scalar:
@@ -176,15 +206,14 @@ class DynPoly(Frozen):
     def __pow__(self, n: int) -> "DynPoly":
         return self.pow(n)
 
-    def pow(self, n: int, budget: Optional[int] = None) -> "DynPoly":
+    def pow(self, n: int, budget: Optional[Budget] = None) -> "DynPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return DynPoly.constant(self.ring, 1)
-        meter = _WorkMeter(budget)
-        if self.degree >= 1:
-            _charge_degree(meter, self.degree, n)
-        return _poly_power(self, n, meter, {})
+        budget = Budget.of(budget)
+        budget.check_degree(self.degree, n)
+        return _poly_power(self, n, budget, {})
 
     # -- dynamics ---------------------------------------------------------
 
@@ -204,15 +233,16 @@ class DynPoly(Frozen):
             acc = c if acc is None else acc + c
         return ring.zero() if acc is None else acc
 
-    def compose(self, inner: "DynPoly", budget: Optional[int] = None) -> "DynPoly":
+    def compose(self, inner: "DynPoly",
+                budget: Optional[Budget] = None) -> "DynPoly":
         """self(inner(x)), metered."""
         self._check(inner)
-        meter = _WorkMeter(budget)
-        if self.degree >= 1 and inner.degree >= 1:
-            _charge_degree(meter, inner.degree, 1, scale=self.degree)
-        return _compose_metered(self, inner, meter)
+        budget = Budget.of(budget)
+        if self.degree >= 1:
+            budget.check_degree(inner.degree, 1, scale=self.degree)
+        return _compose_metered(self, inner, budget)
 
-    def iterate(self, n: int, budget: Optional[int] = None) -> "DynPoly":
+    def iterate(self, n: int, budget: Optional[Budget] = None) -> "DynPoly":
         """The n-fold compositional power, expanded symbolically."""
         if n < 0:
             raise ValueError("negative iterate")
@@ -220,19 +250,17 @@ class DynPoly(Frozen):
             return DynPoly.x(self.ring)
         if self.degree < 1:
             raise ValueError("iteration needs degree >= 1")
-        meter = _WorkMeter(budget)
-        d = self.degree
-        if d >= 2:
-            _charge_degree(meter, d, n)
+        budget = Budget.of(budget)
+        budget.check_degree(self.degree, n)
         result = None
         base = self
         while n:
             if n & 1:
                 result = base if result is None else _compose_metered(
-                    result, base, meter)
+                    result, base, budget)
             n >>= 1
             if n:
-                base = _compose_metered(base, base, meter)
+                base = _compose_metered(base, base, budget)
         return result
 
     def lift_to(self, ring: ExtRing) -> "DynPoly":
@@ -248,34 +276,24 @@ class DynPoly(Frozen):
         return f"DynPoly({self})"
 
 
-def _charge_degree(meter: _WorkMeter, d: int, n: int, scale: int = 1) -> None:
-    # d^n * scale must stay within budget; avoid giant intermediates
-    if d <= 1:
-        return
-    if n * (d.bit_length() - 1) > 64:
-        raise DegreeBudgetExceeded("degree budget exhausted")
-    meter.charge(0)
-    if d ** n * scale > meter.left:
-        raise DegreeBudgetExceeded("degree budget exhausted")
-
-
-def _mul_metered(a: DynPoly, b: DynPoly, meter: _WorkMeter) -> DynPoly:
-    meter.charge(len(a.terms) * len(b.terms))
+def _mul_metered(a: DynPoly, b: DynPoly, budget: Budget) -> DynPoly:
+    budget.charge(len(a.terms) * len(b.terms))
     return a * b
 
 
-def _compose_metered(outer: DynPoly, inner: DynPoly, meter: _WorkMeter) -> DynPoly:
+def _compose_metered(outer: DynPoly, inner: DynPoly,
+                     budget: Budget) -> DynPoly:
     """outer(inner(x)); the body of compose, and of each step of iterate,
-    which shares one meter across its compositions."""
+    which shares one budget across its compositions."""
     out = DynPoly.zero(outer.ring)
     cache: dict = {}
     for e, c in outer.terms.items():
-        pw = _poly_power(inner, e, meter, cache)
+        pw = _poly_power(inner, e, budget, cache)
         out = out + pw.scale(c)
     return out
 
 
-def _poly_power(g: DynPoly, e: int, meter: _WorkMeter, cache: dict) -> DynPoly:
+def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
     got = cache.get(e)
     if got is not None:
         return got
@@ -287,23 +305,23 @@ def _poly_power(g: DynPoly, e: int, meter: _WorkMeter, cache: dict) -> DynPoly:
         (ge, gc), = g.terms.items()
         out = DynPoly(g.ring, {ge * e: gc ** e})
     elif len(g.terms) == 2:
-        out = _binomial_power(g, e, meter)
+        out = _binomial_power(g, e, budget)
     else:
         # Frobenius images cost no multiplication, so only the digit powers
         # (kept in the caller's cache) and one product per further nonzero
         # digit are paid for
-        out = power(g, e, lambda a, b: _mul_metered(a, b, meter),
+        out = power(g, e, lambda a, b: _mul_metered(a, b, budget),
                     DynPoly.frobenius, g.spec.p, cache)
     cache[e] = out
     return out
 
 
-def _binomial_terms(e: int, p: int, meter: _WorkMeter) -> Iterator[tuple]:
+def _binomial_terms(e: int, p: int, budget: Budget) -> Iterator[tuple]:
     """(j, C(e, j) mod p) for every j whose base-p digits lie under those
     of e, which by Lucas are exactly the j with C(e, j) nonzero mod p.
 
     Their number, the product over the digits d of e of (d + 1), is charged
-    to the meter before the first is yielded.
+    to the budget before the first is yielded.
     """
     digits = []
     m = e
@@ -313,9 +331,8 @@ def _binomial_terms(e: int, p: int, meter: _WorkMeter) -> Iterator[tuple]:
         digits.append(d)
         count *= d + 1
         m //= p
-        if count > meter.left:
-            raise DegreeBudgetExceeded("degree budget exhausted")
-    meter.charge(count)
+        budget.check(count)
+    budget.charge(count)
     for picks in itertools.product(*(range(d + 1) for d in digits)):
         j = 0
         coeff_mod = 1
@@ -325,7 +342,7 @@ def _binomial_terms(e: int, p: int, meter: _WorkMeter) -> Iterator[tuple]:
         yield j, coeff_mod
 
 
-def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
+def _binomial_power(g: DynPoly, e: int, budget: Budget) -> DynPoly:
     """(u + v)^e expanded through base-p digits of e; exact in char p.
 
     The number of surviving terms is the product over digits d of (d+1),
@@ -333,7 +350,7 @@ def _binomial_power(g: DynPoly, e: int, meter: _WorkMeter) -> DynPoly:
     """
     (e1, c1), (e2, c2) = sorted(g.terms.items())
     out: dict = {}
-    for j, coeff_mod in _binomial_terms(e, g.spec.p, meter):
+    for j, coeff_mod in _binomial_terms(e, g.spec.p, budget):
         c = (c1 ** j) * (c2 ** (e - j))
         c = c * _scalar_in(g.ring, coeff_mod)
         exp = e1 * j + e2 * (e - j)
@@ -413,7 +430,8 @@ def orbit_prefix(f: DynPoly, start, count: int) -> list:
     return out
 
 
-def conjugate(f: DynPoly, mu: LinearMap, budget: Optional[int] = None) -> DynPoly:
+def conjugate(f: DynPoly, mu: LinearMap,
+              budget: Optional[Budget] = None) -> DynPoly:
     """mu o f o mu^(-1).
 
     To move a map written as mu^(-1) o f o mu into this orientation, pass
@@ -445,7 +463,7 @@ class AdditiveConjugacy(Frozen):
 
 def conjugate_to_additive(f: DynPoly,
                           height_bound: int = DEFAULT_ROOT_HEIGHT,
-                          budget: Optional[int] = None,
+                          budget: Optional[Budget] = None,
                           max_candidates: int = DEFAULT_ROOT_CANDIDATES
                           ) -> Optional[AdditiveConjugacy]:
     """Search for a shift taking f to an additive polynomial.
@@ -465,14 +483,14 @@ def conjugate_to_additive(f: DynPoly,
         raise ValueError("needs degree >= 1")
     spec = f.spec
     p = spec.p
-    meter = _WorkMeter(budget)
+    budget = Budget.of(budget)
     zero = RatFunc.zero(spec)
 
     # coefficient of x^j is a polynomial in b: bpolys[j] maps b-exponent
     # to a K value
     bpolys: dict = {}
     for e, c in f.terms.items():
-        for j, coeff_mod in _binomial_terms(e, p, meter):
+        for j, coeff_mod in _binomial_terms(e, p, budget):
             if (e - j) & 1:
                 coeff_mod = coeff_mod * (p - 1) % p
             val = c * RatFunc.constant(spec, coeff_mod)
@@ -497,7 +515,7 @@ def conjugate_to_additive(f: DynPoly,
     g: dict = {}
     for j, row in bpolys.items():
         if j == 0 or not _is_p_power(j, p):
-            meter.charge(max(row) + 1 if row else 0)
+            budget.charge(max(row) + 1 if row else 0)
             while row:
                 g, row = row, sparse_divmod(g, row)[1]
     if not g:
@@ -600,7 +618,7 @@ def _monic_polys(spec, d, elems, nonzero):
 
 
 def common_iterate(f: DynPoly, g: DynPoly, cap_m: int, cap_n: int,
-                   budget: Optional[int] = None) -> Optional[tuple]:
+                   budget: Optional[Budget] = None) -> Optional[tuple]:
     """Least (m, n) with f^m = g^n as polynomials, or None within caps.
 
     Equal iterates force equal degrees, so only exponent pairs lying on the

@@ -77,15 +77,14 @@ class Frozen:
     without a leading "_"), in order, are its fields: the generic __init__
     takes them positionally or by keyword, with defaults from the class
     mapping _defaults, and a missing or unknown field raises TypeError.
-    Equality (same type, equal fields), hash, repr and replace() are over
-    the fields too.  A subclass with private state (a cached hash, tables)
+    Equality (same type, equal fields), hash and repr are over the fields
+    too.  A subclass with private state (a cached hash, tables)
     writes its own __init__ with object.__setattr__, and may override the
     comparisons.  After construction every attribute write or delete
-    raises.  Copying, pickling and replace() call the constructor again
-    with the fields as its arguments (a subclass where they differ
-    overrides __reduce__ and cannot use replace()), so private caches such
-    as a hash seeded by strings are recomputed in the process that loads
-    the value.
+    raises.  Copying and pickling call the constructor again with the
+    fields as its arguments (a subclass where they differ overrides
+    __reduce__), so private caches such as a hash seeded by strings are
+    recomputed in the process that loads the value.
     """
 
     __slots__ = ()
@@ -131,11 +130,6 @@ class Frozen:
         inside = ", ".join(f"{name}={getattr(self, name)!r}"
                            for name in self._fields)
         return f"{type(self).__qualname__}({inside})"
-
-    def replace(self, **changes):
-        """A copy with the named fields changed."""
-        return type(self)(**dict(zip(self._fields, self._values()),
-                                 **changes))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -476,12 +476,6 @@ class RatFunc(Frozen):
         return f"RatFunc({self})"
 
 
-def weil_height(value: Union[RatFunc, FFPoly]) -> int:
-    if isinstance(value, FFPoly):
-        return max(value.degree, 0)
-    return value.height()
-
-
 class ExtRing(Frozen):
     """K[y]/(M(y)) for a monic M of degree >= 1 over K.
 

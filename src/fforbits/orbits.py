@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .dynpoly import DynPoly, orbit_element, orbit_prefix
+from .dynpoly import Budget, DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
 from .field import Frozen
 from .funcfield import RatFunc
@@ -100,7 +100,7 @@ class SameDegreeReduction(Frozen):
 
 def reduce_to_same_degree(f: DynPoly, alpha, g: DynPoly, beta,
                           cap_m: int = 16, cap_n: int = 16,
-                          budget: Optional[int] = None
+                          budget: Optional[Budget] = None
                           ) -> Optional[SameDegreeReduction]:
     """Rewrite the intersection problem with both maps of equal degree.
 
@@ -301,7 +301,7 @@ def fit_return_model(data: Union[ReturnSet, Iterable[int]], p: int,
 
 def ap_implies_common_iterate(f: DynPoly, g: DynPoly, a: int, b: int,
                               alpha, beta, cap_n: int,
-                              budget: Optional[int] = None) -> str:
+                              budget: Optional[Budget] = None) -> str:
     """Check a claimed arithmetic progression {a*n+b} of diagonal
     collisions, then the iterate identity it would force.
 
@@ -324,16 +324,3 @@ def ap_implies_common_iterate(f: DynPoly, g: DynPoly, a: int, b: int,
         return "confirmed"
     return "refuted-iterate"
 
-
-def detect_preperiodicity(f: DynPoly, gamma, max_steps: int
-                          ) -> Optional[Tuple[int, int]]:
-    """(tail length, period) if the orbit revisits a point within
-    max_steps evaluations, else None."""
-    v = _point(f, gamma)
-    seen = {v: 0}
-    for i in range(1, max_steps + 1):
-        v = f.evaluate(v)
-        if v in seen:
-            return (seen[v], i - seen[v])
-        seen[v] = i
-    return None

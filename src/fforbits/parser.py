@@ -10,17 +10,22 @@ p - 1.  Division is defined between field elements only.
 Every value type in the package prints through str() into this grammar,
 and parse(print(v)) == v holds for all of them; that round trip is what
 pins down the canonical form.
+
+Powers and curve products are expanded as they are parsed and draw on the
+context's dynpoly.Budget; parse_scenario builds one per file, from its
+limits after any overrides, before it parses any expression.
 """
 
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .errors import (DegreeBudgetExceeded, MixedVariables, ParseError,
-                     UndefinedSymbol, ValidationError)
+from .errors import (MixedVariables, ParseError, UndefinedSymbol,
+                     ValidationError)
 from .field import FieldSpec, Frozen, dense_coeffs, power
 from .funcfield import ExtElem, ExtRing, KRing, RatFunc
-from .dynpoly import (DEFAULT_DEGREE_BUDGET, DynPoly, _WorkMeter)
-from .twisted import DEFAULT_TAU_BUDGET, TwistedPoly
+from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, Budget,
+                      DynPoly)
+from .twisted import TwistedPoly, twisted_pow
 from .orbits import PlaneCurve
 
 MAX_NESTING = 200
@@ -77,18 +82,20 @@ class ParseContext:
     y the extension generator (when ext is set).  mode "modulus" parses an
     extension modulus, where y is a plain polynomial indeterminate and
     x/T are not available.  mode "curve" parses plane-curve equations in
-    x1 and x2.
+    x1 and x2.  Every parse with this context draws on budget; without
+    one, each parse gets its own default Budget.
     """
 
-    __slots__ = ("spec", "ext", "mode")
+    __slots__ = ("spec", "ext", "mode", "budget")
 
     def __init__(self, spec: FieldSpec, ext: Optional[ExtRing] = None,
-                 mode: str = "value"):
+                 mode: str = "value", budget: Optional[Budget] = None):
         if mode not in ("value", "modulus", "curve"):
             raise ValueError(f"unknown parse mode {mode!r}")
         self.spec = spec
         self.ext = ext
         self.mode = mode
+        self.budget = budget
 
     @property
     def ring(self):
@@ -138,8 +145,8 @@ class _Bivar:
     def neg(self) -> "_Bivar":
         return _Bivar(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def mul(self, other: "_Bivar", meter: _WorkMeter) -> "_Bivar":
-        meter.charge(max(1, len(self.terms)) * max(1, len(other.terms)))
+    def mul(self, other: "_Bivar", budget: Budget) -> "_Bivar":
+        budget.charge(max(1, len(self.terms)) * max(1, len(other.terms)))
         terms = {}
         for (a1, a2), c in self.terms.items():
             for (b1, b2), d in other.terms.items():
@@ -170,7 +177,7 @@ class _Parser:
         self.i = 0
         self.ctx = ctx
         self.depth = 0
-        self.meter = _WorkMeter(DEFAULT_DEGREE_BUDGET)
+        self.budget = Budget.of(ctx.budget)
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -331,7 +338,7 @@ class _Parser:
     def combine_mul(self, a, b, pos: int):
         a, b, k = self.lift_pair(a, b, pos)
         if k == "curve":
-            return a.mul(b, self.meter)
+            return a.mul(b, self.budget)
         return a * b
 
     def combine_div(self, a, b, pos: int):
@@ -343,18 +350,18 @@ class _Parser:
     def power(self, v, n: int, pos: int):
         k = _kind(v)
         if k == "scalar":
-            if isinstance(v, RatFunc) and n > DEFAULT_DEGREE_BUDGET and (
+            if isinstance(v, RatFunc) and (
                     len(v.num.terms) > 1 or len(v.den.terms) > 1):
-                raise DegreeBudgetExceeded(
-                    f"{n}th power of a non-monomial exceeds the degree budget")
+                self.budget.check(n, f"{n}th power of a non-monomial "
+                                     "exceeds the degree budget")
             return v ** n
         if k == "dyn":
-            return v.pow(n, DEFAULT_DEGREE_BUDGET)
+            return v.pow(n, self.budget)
         if k == "tw":
-            return v ** n
+            return twisted_pow(v, n, self.budget)
         if n == 0:
             return _Bivar(self.ctx.ring, {(0, 0): self.ctx.ring.one()})
-        return power(v, n, lambda a, b: a.mul(b, self.meter))
+        return power(v, n, lambda a, b: a.mul(b, self.budget))
 
 
 def parse_expr(text: str, ctx: ParseContext):
@@ -380,9 +387,9 @@ def parse_map(text: str, ctx: ParseContext):
     return v
 
 
-def parse_curve(text: str, spec: FieldSpec,
-                ext: Optional[ExtRing] = None) -> PlaneCurve:
-    ctx = ParseContext(spec, ext, mode="curve")
+def parse_curve(text: str, spec: FieldSpec, ext: Optional[ExtRing] = None,
+                budget: Optional[Budget] = None) -> PlaneCurve:
+    ctx = ParseContext(spec, ext, mode="curve", budget=budget)
     v = parse_expr(text, ctx)
     if _kind(v) == "scalar":
         v = _Bivar(ctx.ring, {(0, 0): v})
@@ -393,9 +400,10 @@ def parse_curve(text: str, spec: FieldSpec,
     return PlaneCurve.make(ctx.ring, v.terms)
 
 
-def parse_modulus(text: str, spec: FieldSpec) -> Tuple[RatFunc, ...]:
+def parse_modulus(text: str, spec: FieldSpec,
+                  budget: Optional[Budget] = None) -> Tuple[RatFunc, ...]:
     """Parse an extension modulus in y; returns dense ascending coefficients."""
-    v = parse_expr(text, ParseContext(spec, mode="modulus"))
+    v = parse_expr(text, ParseContext(spec, mode="modulus", budget=budget))
     if isinstance(v, (RatFunc, ExtElem)):
         raise ParseError("an extension modulus must involve y", 0)
     if not isinstance(v, DynPoly):
@@ -475,7 +483,11 @@ def _require(values: dict, key: str):
     return values[key]
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, overrides: Optional[dict] = None) -> Scenario:
+    """Read and validate one scenario file.  overrides maps limit keys
+    (capM, capN, degreeBudget, tauBudget, denomBound) to values that replace
+    the file's; a None value leaves the file's.  The file's expressions are
+    expanded under one Budget built from the resulting limits."""
     raw = {}
     for lineno, stmt in _split_statements(text):
         if "=" not in stmt:
@@ -516,8 +528,10 @@ def parse_scenario(text: str) -> Scenario:
             if ints[key] < 0:
                 raise ValidationError(key, f"'{key}' must be nonnegative")
 
-    common = {name: ints[key] for key, name in _LIMIT_KEYS.items()
-              if key in ints}
+    limits = {key: ints[key] for key in _LIMIT_KEYS if key in ints}
+    limits.update((key, value) for key, value in (overrides or {}).items()
+                  if value is not None)
+    common = {_LIMIT_KEYS[key]: value for key, value in limits.items()}
     common.update(task=task, expect=raw.get("expect"),
                   echo=dict(sorted(raw.items())))
     if "targetError" in raw:
@@ -549,15 +563,16 @@ def parse_scenario(text: str) -> Scenario:
     except ParseError as exc:
         raise ValidationError("field", str(exc)) from None
 
+    budget = Budget(limits.get("degreeBudget"), limits.get("tauBudget"))
     ext = None
     if "ext" in raw:
         try:
-            modulus = parse_modulus(raw["ext"], spec)
+            modulus = parse_modulus(raw["ext"], spec, budget)
         except ParseError as exc:
             raise ValidationError("ext", str(exc)) from None
         ext = ExtRing(spec, modulus)
 
-    ctx = ParseContext(spec, ext)
+    ctx = ParseContext(spec, ext, budget=budget)
 
     def parsed(key, fn, required):
         if key not in raw:
@@ -580,7 +595,7 @@ def parse_scenario(text: str) -> Scenario:
         if "curve" not in raw:
             raise ValidationError("curve", "missing required key 'curve'")
         try:
-            curve = parse_curve(raw["curve"], spec, ext)
+            curve = parse_curve(raw["curve"], spec, ext, budget)
         except ParseError as exc:
             raise ValidationError("curve", str(exc)) from None
 

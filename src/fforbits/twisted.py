@@ -7,9 +7,9 @@ the T-degree budget keeps tuples short.  Multiplication follows
     (sum a_i T^i) * (sum b_j T^j) = sum_i sum_j a_i * b_j^(p^i) * T^(i+j)
 
 so the ring is noncommutative unless every coefficient is fixed by the
-p-power map, i.e. lies in the prime field.  Powers take a separate budget
-from the polynomial degree budget because T-degree n corresponds to x-degree
-p^n; the default cap is 4096.
+p-power map, i.e. lies in the prime field.  A power draws on the T-degree
+cap of the caller's dynpoly.Budget rather than on its degree work, because
+T-degree n corresponds to x-degree p^n; the default cap is 4096.
 
 A twisted polynomial is the same data as an additive polynomial in x
 (T^i standing for x^(p^i)); to_dynpoly / from_dynpoly convert between the
@@ -23,14 +23,12 @@ from __future__ import annotations
 import operator
 from typing import Optional, Union
 
-from .errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
+from .errors import NotAdditive, RingMismatch
 from .field import (FieldSpec, Frozen, format_terms, power, sparse_lincomb,
                     sparse_mul)
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
-from .dynpoly import DynPoly, is_additive, _scalar_in
-
-DEFAULT_TAU_BUDGET = 4096
+from .dynpoly import Budget, DynPoly, is_additive, _scalar_in
 
 Ring = Union[KRing, ExtRing]
 Scalar = Union[RatFunc, ExtElem]
@@ -224,7 +222,7 @@ class TwistedPoly(Frozen):
 
 
 def twisted_pow(a: TwistedPoly, n: int,
-                tau_budget: Optional[int] = None) -> TwistedPoly:
+                budget: Optional[Budget] = None) -> TwistedPoly:
     """a^n in K{T}, with the result's T-degree capped by the budget.
 
     When every coefficient lies in the prime field the factors commute and
@@ -234,13 +232,10 @@ def twisted_pow(a: TwistedPoly, n: int,
     """
     if n < 0:
         raise ValueError("negative power in K{T}")
-    budget = DEFAULT_TAU_BUDGET if tau_budget is None else tau_budget
     if n == 0:
         return TwistedPoly.one(a.ring)
     d = a.tau_degree
-    if d >= 1 and d * n > budget:
-        raise TauDegreeBudgetExceeded(
-            f"T-degree {d * n} exceeds budget {budget}")
+    Budget.of(budget).check_tau(d * n)
     if d < 0:
         return TwistedPoly.zero(a.ring)
     if a.all_prime_field():
@@ -266,14 +261,3 @@ def _prime_int(c) -> int:
         c = c.as_K()
     return c.constant_value().as_int()
 
-
-def commute_at_iterate(a: TwistedPoly, b: TwistedPoly, m: int,
-                       tau_budget: Optional[int] = None) -> bool:
-    """Do the m-th powers of a and b commute?
-
-    Composition of additive polynomials is multiplication here, so this is
-    literally a^m * b^m == b^m * a^m.
-    """
-    am = twisted_pow(a, m, tau_budget)
-    bm = twisted_pow(b, m, tau_budget)
-    return am * bm == bm * am

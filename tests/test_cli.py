@@ -311,6 +311,42 @@ def test_exit_budget_on_monster_expansion(tmp_path, capsys):
     assert rc == EXIT_BUDGET
 
 
+HEIGHTS_CUBE = ("field = GF(3); f = (x^2 + x + t)^3; alpha = t\n"
+                "task = heights; degreeBudget = 4\n")
+# f costs 9: one product of 3 by 3 terms; caps stay small, as the orbit
+# walks are not metered
+INTERSECT_SQUARE = ("field = GF(3); f = (x^2 + x + t)^2; g = {g}\n"
+                    "alpha = t; beta = 0; task = intersect\n"
+                    "capM = 3; capN = 3; degreeBudget = 10\n")
+
+
+@pytest.mark.parametrize("text,flags,code", [
+    (HEIGHTS_CUBE, (), EXIT_BUDGET),
+    (HEIGHTS_CUBE, ("--degree-budget", "1048576"), EXIT_OK),
+    ("field = GF(3); f = (T + t)^5; alpha = t; task = heights\n",
+     ("--tau-budget", "4"), EXIT_BUDGET),
+    ("field = GF(2); f = x^2 + x; g = x^2 + t; alpha = t; beta = 0\n"
+     "task = curve-return; capN = 4; degreeBudget = 8\n"
+     "curve = (x1 + x2 + t)^3\n", (), EXIT_BUDGET),
+    (INTERSECT_SQUARE.format(g="x^2 + t"), (), EXIT_OK),
+    (INTERSECT_SQUARE.format(g="(x^2 + x + t)^2"), (), EXIT_BUDGET),
+], ids=["degree-key", "degree-flag-overrides-key", "tau-flag", "curve-power",
+        "one-square", "two-squares-share-the-budget"])
+def test_scenario_budgets_bind(tmp_path, capsys, text, flags, code):
+    sc = write(tmp_path, "budget.txt", text)
+    rc, out, err = run_cli(capsys, "--scenario", sc, *flags)
+    assert rc == code, err
+    if code == EXIT_BUDGET:
+        assert out == "" and "budget exhausted" in err
+
+
+def test_each_scenario_of_a_run_has_its_own_budget(tmp_path, capsys):
+    sc = write(tmp_path, "budget.txt", INTERSECT_SQUARE.format(g="x^2 + t"))
+    rc, out, err = run_cli(capsys, "--scenario", sc, "--scenario", sc)
+    assert rc == EXIT_OK, err
+    assert "runs: 2" in out
+
+
 def test_exit_check_failed_on_wrong_expectation(tmp_path, capsys):
     sc = write(tmp_path, "exp.txt",
                "example = 2.8; p = 3; nmax = 4; expect = FAIL")

@@ -8,8 +8,9 @@ import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, RatFunc
-from fforbits.dynpoly import (DynPoly, KRing, LinearMap, common_iterate,
-                              conjugate, conjugate_to_additive, is_additive,
+from fforbits.dynpoly import (Budget, DynPoly, KRing, LinearMap,
+                              common_iterate, conjugate,
+                              conjugate_to_additive, is_additive,
                               orbit_element, orbit_prefix,
                               solve_affine_conjugacy)
 from fforbits.errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
@@ -79,7 +80,7 @@ def test_compose_power_uses_frobenius_digits():
     terms (16 term products) and degree 4*5 = 20 both fit budget 20.
     Squaring h twice would spend 16 + 9*9 term products and run out."""
     x4 = dyn(K3, {4: 1})
-    assert x4.compose(H3, budget=20) == H3 * H3 * H3 * H3
+    assert x4.compose(H3, budget=Budget(20)) == H3 * H3 * H3 * H3
 
 
 # rings for the power oracle; in GF(9) and in the extension the Frobenius
@@ -118,7 +119,7 @@ def test_power_matches_repeated_multiplication(name):
         total = DynPoly.zero(ring)
         for n in range(31):
             # pow charges deg(g)^n up front, so it needs room beyond that
-            assert g.pow(n, budget=2 ** 64) == want, (str(g), n)
+            assert g.pow(n, budget=Budget(2 ** 64)) == want, (str(g), n)
             total = total + want
             want = want * g
         assert every.compose(g) == total, str(g)
@@ -177,20 +178,20 @@ def test_pow_budget_enforced():
     # a pure power of two would ride the Frobenius shortcut for free.
     f = dyn(K2, {1: 1, 0: t_of(GF2)})  # x + t, two terms
     with pytest.raises(DegreeBudgetExceeded):
-        f.pow(2 ** 30 - 1, budget=2 ** 10)
+        f.pow(2 ** 30 - 1, budget=Budget(2 ** 10))
 
 
 def test_pow_frobenius_exponent_is_cheap():
     """p-power exponents split multiplicatively and dodge the budget."""
     f = dyn(K2, {1: 1, 0: t_of(GF2)})
-    g = f.pow(2 ** 30, budget=2 ** 10)
+    g = f.pow(2 ** 30, budget=Budget(2 ** 10))
     assert g == dyn(K2, {2 ** 30: 1, 0: t_of(GF2) ** (2 ** 30)})
 
 
 def test_iterate_budget_enforced():
     f = dyn(K2, {2: 1, 1: 1})
     with pytest.raises(DegreeBudgetExceeded):
-        f.iterate(40, budget=2 ** 12)
+        f.iterate(40, budget=Budget(2 ** 12))
 
 
 def test_mixed_rings_rejected():

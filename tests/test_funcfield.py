@@ -17,7 +17,7 @@ from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
                             sparse_xgcd)
 from fforbits import funcfield
 from fforbits.funcfield import (_GAP_FOR_POWMOD, ExtRing, FFPoly, KRing,
-                                RatFunc, weil_height)
+                                RatFunc)
 from fforbits.dynpoly import DynPoly, k_candidates
 from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 
@@ -605,10 +605,6 @@ def test_ratfunc_arithmetic_matches_make(xy):
     else:
         with pytest.raises(DivisionByZero):
             x.inverse()
-
-
-def test_weil_height_accepts_polys():
-    assert weil_height(FFPoly.t(GF3) ** 4) == 4
 
 
 def test_ratfunc_str_parses_back():

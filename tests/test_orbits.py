@@ -15,9 +15,8 @@ from fforbits.dynpoly import DynPoly, KRing, orbit_element
 from fforbits.heights import PruningData, derive_pruning, pruned_candidates
 from fforbits.orbits import (PlaneCurve, ReturnModel, ReturnSet,
                              ap_implies_common_iterate, curve_return_set,
-                             detect_preperiodicity, fit_return_model,
-                             intersect_orbits, reduce_to_same_degree,
-                             synchronized_collisions)
+                             fit_return_model, intersect_orbits,
+                             reduce_to_same_degree, synchronized_collisions)
 
 
 GF2 = FieldSpec(2)
@@ -228,23 +227,6 @@ def test_curve_return_custom_curve():
             if orbit_element(f, alpha, n) + orbit_element(g, beta, n) + shift
             == RatFunc.zero(GF2)]
     assert got == want
-
-
-def test_detect_preperiodicity_over_finite_points():
-    """Constant starting points over GF(q) always cycle."""
-    f = dyn(K3, {2: 1, 0: 1})
-    got = detect_preperiodicity(f, RatFunc.zero(GF3), 20)
-    assert got is not None
-    tail, period = got
-    # verify the certificate
-    u = orbit_element(f, RatFunc.zero(GF3), tail)
-    v = orbit_element(f, RatFunc.zero(GF3), tail + period)
-    assert u == v
-
-
-def test_detect_preperiodicity_wandering_point():
-    f = dyn(K2, {2: 1, 1: 1})
-    assert detect_preperiodicity(f, RatFunc.t(GF2), 40) is None
 
 
 # Return-set models

@@ -14,13 +14,16 @@ import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, RatFunc
-from fforbits.dynpoly import DEFAULT_DEGREE_BUDGET, DynPoly, KRing
-from fforbits.twisted import DEFAULT_TAU_BUDGET, TwistedPoly
+from fforbits import dynpoly
+from fforbits.dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET,
+                              Budget, DynPoly, KRing)
+from fforbits.twisted import TwistedPoly
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_expr,
                              parse_map, parse_modulus, parse_scalar,
                              parse_scenario, print_canonical)
 from fforbits.errors import (AlgebraError, DegreeBudgetExceeded,
-                             MixedVariables, ParseError, UndefinedSymbol,
+                             MixedVariables, ParseError,
+                             TauDegreeBudgetExceeded, UndefinedSymbol,
                              ValidationError)
 
 
@@ -147,6 +150,40 @@ def test_curve_power_past_the_budget_raises():
     base = "(x1^3 + x2^3 + x1^2*x2 + x1*x2^2 + x1^2 + x2^2 + x1*x2 + x1 + x2 + t)"
     with pytest.raises(DegreeBudgetExceeded):
         parse_curve(base + "^1000000", GF3)
+
+
+# (x^2 + x + t)^2 over GF(3) is one product of 3 by 3 terms: it costs 9
+SQUARE = "(x^2 + x + t)^2"
+
+
+def test_context_budget_is_shared_by_its_parses():
+    ctx = ParseContext(GF3, budget=Budget(10))
+    parse_map(SQUARE, ctx)
+    assert ctx.budget.left == 1
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_map(SQUARE, ctx)
+
+
+def test_context_without_budget_gives_each_parse_a_default(monkeypatch):
+    monkeypatch.setattr(dynpoly, "DEFAULT_DEGREE_BUDGET", 10)
+    ctx = ParseContext(GF3)
+    for _ in range(3):
+        parse_map(SQUARE, ctx)
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_map("(x^2 + x + t)^4", ctx)
+
+
+def test_context_budget_bounds_every_kind_of_power():
+    tight = ParseContext(GF3, budget=Budget(10, tau=4))
+    assert parse_map("(T + t)^4", tight).tau_degree == 4
+    with pytest.raises(TauDegreeBudgetExceeded):
+        parse_map("(T + t)^5", tight)
+    assert parse_scalar("t^11", tight) == RatFunc.t(GF3) ** 11
+    parse_scalar("(t + 1)^10", tight)
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_scalar("(t + 1)^11", tight)
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_curve("(x1 + x2 + t)^2", GF3, budget=Budget(8))
 
 
 def test_curve_vars_rejected_outside_curve_mode():
@@ -302,6 +339,25 @@ def test_scenario_limits_are_read(head):
             sc.denominator_bound) == (5, 6, 7, 8, 9)
     assert sc.target_error == Fraction(1, 3)
     assert sc.prune
+
+
+def test_scenario_overrides_replace_limit_keys():
+    sc = parse_scenario(SCENARIO_HEADS[0] + "\ncapM = 5; degreeBudget = 7",
+                        {"capM": 3, "capN": None, "tauBudget": 9})
+    assert (sc.cap_m, sc.cap_n, sc.degree_budget, sc.tau_budget) == \
+        (3, 64, 7, 9)
+    assert sc.echo["capM"] == "5" and "tauBudget" not in sc.echo
+
+
+def test_scenario_overrides_bind_before_expressions_expand():
+    text = "field = GF(3); f = (x^2 + x + t)^3; alpha = t; task = heights\n"
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_scenario(text + "degreeBudget = 4")
+    sc = parse_scenario(text + "degreeBudget = 4",
+                        {"degreeBudget": DEFAULT_DEGREE_BUDGET})
+    assert sc.f.degree == 6
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_scenario(text, {"degreeBudget": 4})
 
 
 def test_scenario_one_line_verify():

@@ -137,32 +137,21 @@ def test_fields_construct_by_position_or_keyword(name):
     args = tuple(getattr(value, field) for field in fields)
     assert cls(*args) == value
     assert cls(**dict(zip(fields, args))) == value
-    assert value.replace() == value
-    changed = value.replace(**{fields[-1]: None})
-    assert getattr(changed, fields[-1]) is None
-    assert [getattr(changed, f) for f in fields[:-1]] == list(args[:-1])
     with pytest.raises(TypeError, match="missing"):
         cls(*args[:-1])
     with pytest.raises(TypeError, match="unexpected"):
         cls(*args, extra=1)
     with pytest.raises(TypeError, match="repeated"):
         cls(*args, **{fields[0]: args[0]})
-    with pytest.raises(TypeError, match="unexpected"):
-        value.replace(extra=1)
 
 
-def test_scenario_defaults_and_replace():
+def test_scenario_defaults_and_required_fields():
     required = {"task": "intersect", "params": {}, "echo": {}}
     bare = Scenario(**required)
     assert (bare.spec, bare.cap_m, bare.prune) == (None, 64, False)
     for field in required:
         with pytest.raises(TypeError, match=f"missing field '{field}'"):
             Scenario(**{k: v for k, v in required.items() if k != field})
-    sc = _scenarios()["curve-diagonal"]
-    assert sc.replace(cap_m=3).cap_m == 3
-    assert sc.replace(cap_m=3).replace(cap_m=sc.cap_m) == sc
-    with pytest.raises(TypeError, match="capM"):
-        sc.replace(capM=3)
 
 
 _DUMP = """
