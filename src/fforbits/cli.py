@@ -62,19 +62,21 @@ def run_scenario(sc: Scenario) -> dict:
     if sc.task in ("intersect", "classify"):
         f = _as_dynpoly(sc.f, "f")
         g = _as_dynpoly(sc.g, "g")
-        pruning = None
+        sieve = None
         if sc.prune:
             if sc.ext is not None:
                 raise ValidationError(
                     "prune", "pruning uses heights over the rational "
                     "function field and cannot run in an extension")
-            pruning = derive_pruning(f, sc.alpha, g, sc.beta,
-                                     sc.cap_m, sc.cap_n)
-            report["pruning"] = {"u1": str(pruning.u1),
-                                 "u2": str(pruning.u2),
-                                 "c": str(pruning.c)}
+
+            def sieve(end_a, end_b):  # heights of the walked orbits' ends
+                data = derive_pruning(f, sc.alpha, g, sc.beta,
+                                      sc.cap_m, sc.cap_n, (end_a, end_b))
+                report["pruning"] = {"u1": str(data.u1), "u2": str(data.u2),
+                                     "c": str(data.c)}
+                return data
         rs = intersect_orbits(f, sc.alpha, g, sc.beta,
-                              sc.cap_m, sc.cap_n, pruning)
+                              sc.cap_m, sc.cap_n, sieve)
         report["pruned"] = sc.prune
         report["pairs"] = [[m, n] for m, n in rs.pairs]
         report["count"] = len(rs.pairs)
@@ -278,6 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     runs: List[dict] = []
     exit_code = EXIT_OK
+    path = None  # the scenario file being parsed or run, for budget errors
 
     try:
         if args.verify_all:
@@ -288,11 +291,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides = {"capM": args.cap_m, "capN": args.cap_n,
                      "degreeBudget": args.degree_budget,
                      "tauBudget": args.tau_budget}
-        scenarios = [parse_scenario(_load(path), overrides)
-                     for path in args.scenario]
-        runs.extend(run_scenario(sc) for sc in scenarios)
+        scenarios = []
+        for path in args.scenario:
+            scenarios.append(parse_scenario(_load(path), overrides))
+        for path, sc in zip(args.scenario, scenarios):
+            runs.append(run_scenario(sc))
     except BudgetExceeded as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
+        where = f"{path}: " if path is not None else ""
+        sys.stderr.write(f"budget exhausted: {where}{exc}\n")
         return EXIT_BUDGET
     except (ValidationError, ParseError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")

@@ -181,7 +181,7 @@ class PruningData(Frozen):
 
 
 def derive_pruning(f: DynPoly, alpha: RatFunc, g: DynPoly, beta: RatFunc,
-                   cap_m: int, cap_n: int) -> PruningData:
+                   cap_m: int, cap_n: int, ends=None) -> PruningData:
     """Sound sieve data for intersecting the two orbits within the caps.
 
     u_i are the N = cap estimates; their error after scaling by d^m
@@ -189,11 +189,14 @@ def derive_pruning(f: DynPoly, alpha: RatFunc, g: DynPoly, beta: RatFunc,
 
         |d^m u1 - e^n u2| <= 2 B_f/(d-1) + 2 B_g/(e-1) < 2(B_f + B_g) + 1
 
-    and c = 2(B_f + B_g) + 1 never filters out a real collision.
+    and c = 2(B_f + B_g) + 1 never filters out a real collision.  Given
+    ends = (f^cap_m(alpha), g^cap_n(beta)), no orbit is walked here.
     """
     d, e = f.degree, g.degree
     bf = height_gap_constant(f).B
     bg = height_gap_constant(g).B
-    u1 = Fraction(orbit_element(f, alpha, cap_m).height(), d ** cap_m)
-    u2 = Fraction(orbit_element(g, beta, cap_n).height(), e ** cap_n)
+    end_a, end_b = ends or (orbit_element(f, alpha, cap_m),
+                            orbit_element(g, beta, cap_n))
+    u1 = Fraction(end_a.height(), d ** cap_m)
+    u2 = Fraction(end_b.height(), e ** cap_n)
     return PruningData(u1, u2, Fraction(2 * (bf + bg) + 1))

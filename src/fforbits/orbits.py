@@ -16,7 +16,7 @@ describes the data within the caps and claims nothing beyond them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .dynpoly import Budget, DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
@@ -41,11 +41,14 @@ class ReturnSet(Frozen):
 
 def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
                      cap_m: int, cap_n: int,
-                     pruning: Optional[PruningData] = None) -> ReturnSet:
+                     pruning: Union[PruningData, Callable, None] = None
+                     ) -> ReturnSet:
     """All (m, n) within the caps where the two orbits meet.
 
     Collisions are found by one dict join of the two walked orbits; with
     pruning, only the joined pairs that the height sieve admits are kept.
+    pruning may also be a function that derives the sieve data from the
+    walked end points f^cap_m(alpha), g^cap_n(beta), so none is walked twice.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("orbit intersection is for degrees >= 2")
@@ -53,6 +56,8 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
         raise RingMismatch("orbits live in different rings")
     orbit_a = orbit_prefix(f, _point(f, alpha), cap_m)
     orbit_b = orbit_prefix(g, _point(g, beta), cap_n)
+    if callable(pruning):
+        pruning = pruning(orbit_a[-1], orbit_b[-1])
     index = {}
     for m, v in enumerate(orbit_a):
         index.setdefault(v, []).append(m)

@@ -162,11 +162,14 @@ class TwistedPoly(Frozen):
                 and point.spec == ring.spec:
             return self.lift_to(point.ring).evaluate(point)
         point = _scalar_in(ring, point)
+        nonzero = [(i, c) for i, c in enumerate(self.coeffs) if c]
         if isinstance(ring, KRing) and point.is_poly() \
-                and all(c.is_poly() for c in self.coeffs):
-            return RatFunc.from_poly(FFPoly(ring.spec, sparse_lincomb(
-                [(c.num.terms, point.num.frobenius(i).terms)
-                 for i, c in enumerate(self.coeffs) if c], ring.spec.int_p)))
+                and all(c.is_poly() for _, c in nonzero):
+            spec, terms = ring.spec, point.num.terms
+            return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
+                [(c.num.terms, {e * spec.p ** i: a if spec.int_p
+                                else a.frobenius(i) for e, a in terms.items()})
+                 for i, c in nonzero], spec.int_p)))
         # points with a denominator D, and points of an extension, keep the
         # running sum: over the common denominator D^(p^d) term i would need
         # D^(p^d - p^i), a dense product of d - i Frobenius images
@@ -186,14 +189,8 @@ class TwistedPoly(Frozen):
 
     def to_dynpoly(self) -> DynPoly:
         p = self.spec.p
-        terms = {}
-        e = 1
-        for i, c in enumerate(self.coeffs):
-            if i:
-                e *= p
-            if c:
-                terms[e] = c
-        return DynPoly(self.ring, terms)
+        return DynPoly(self.ring,
+                       {p ** i: c for i, c in enumerate(self.coeffs) if c})
 
     @classmethod
     def from_dynpoly(cls, f: DynPoly) -> "TwistedPoly":

@@ -11,7 +11,7 @@ import random
 from typing import Callable, Dict, List, Optional
 
 from .errors import ValidationError
-from .field import FieldSpec, Frozen, binom_mod
+from .field import FieldSpec, Frozen, binom_mod, sparse_lincomb
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DynPoly, LinearMap, conjugate, is_additive,
                       orbit_element, orbit_prefix, solve_affine_conjugacy)
@@ -43,25 +43,17 @@ def _skipped(cid, slug, params, why):
 
 
 def _primes(params: dict, defaults) -> list:
-    if "p" in params:
-        ps = [params["p"]]
-    else:
-        ps = list(defaults)
+    ps = [params["p"]] if "p" in params else list(defaults)
     pmax = params.get("pmax")
-    if pmax is not None:
-        kept = [p for p in ps if p <= pmax]
-        dropped = [p for p in ps if p > pmax]
-        if dropped:
-            # lands in the result's params echo, so reports show the cut
-            params["skippedPrimes"] = dropped
-        ps = kept
-    return ps
+    dropped = [p for p in ps if pmax is not None and p > pmax]
+    if dropped:
+        # lands in the result's params echo, so reports show the cut
+        params["skippedPrimes"] = dropped
+    return [p for p in ps if p not in dropped]
 
 
 def _t_powers(spec: FieldSpec, exps) -> RatFunc:
-    one = spec.one()
-    return RatFunc.make(FFPoly.make(spec, {e: one for e in exps}),
-                        FFPoly.one(spec))
+    return RatFunc.from_poly(FFPoly.make(spec, {e: spec.one() for e in exps}))
 
 
 _EXT_FIELDS = {(2, 2): "GF(4; mod=w^2+w+1)", (3, 2): "GF(9; mod=w^2+1)"}
@@ -150,6 +142,13 @@ def _witnesses_15_16(spec: FieldSpec) -> List[DynPoly]:
             _x_poly(spec, {p ** 3: 1, p ** 2: 1, 1: 1})]
 
 
+def _binomial_sum(spec: FieldSpec, fpts: list, m: int) -> RatFunc:
+    """sum_{i=1..m} C(m, i) fpts[i] over GF(p), for polynomial points."""
+    return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
+        [({0: b}, fpts[i].num.terms) for i in range(1, m + 1)
+         if (b := binom_mod(m, i, spec.p))], spec.p)))
+
+
 def check_15_16(params: dict) -> CheckResult:
     cid, slug = "15-16", "shift-conjugate-binomial-orbit"
     ps = _primes(params, (2, 3, 5))
@@ -164,16 +163,16 @@ def check_15_16(params: dict) -> CheckResult:
         for f in _witnesses_15_16(spec):
             ft = f.evaluate(t)
             g = f + DynPoly.x(ring) + DynPoly.constant(ring, ft)
+            # left: the pointwise walk of g from 0; right: the f-orbit of t
+            # (in F_p[t], as f is monic additive) mixed by C(m, i) mod p in
+            # one linear combination; neither side is built from the other
             gpts = orbit_prefix(g, ring.from_int(0), mmax)
             fpts = orbit_prefix(f, t, mmax)
+            assert all(pt.is_poly() for pt in fpts), "f-orbit of t left F_p[t]"
             # twisted route: (x + f)^m evaluated at t, shifted back
             a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
             for m in range(1, mmax + 1):
-                rhs = ring.from_int(0)
-                for i in range(1, m + 1):
-                    b = binom_mod(m, i, p)
-                    if b:
-                        rhs = rhs + fpts[i] * ring.from_int(b)
+                rhs = _binomial_sum(spec, fpts, m)
                 if gpts[m] != rhs:
                     return _failed(cid, slug, params,
                                    f"p={p}, f={f}: binomial sum at m={m}",

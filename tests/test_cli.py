@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import fforbits
+from fforbits import cli
 from fforbits.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INVALID,
                           EXIT_OK, emit_report, main)
+from fforbits.dynpoly import Budget, DynPoly
 
 
 QUADRATIC = """
@@ -52,6 +54,29 @@ def test_intersect_scenario_json(tmp_path, capsys):
     assert run["pairs"] == want
     assert run["exhaustive"] is True
     assert run["caps"] == {"capM": 32, "capN": 32}
+
+
+@pytest.mark.parametrize("prune", ("on", "off"))
+def test_intersect_walks_each_orbit_once(tmp_path, capsys, monkeypatch,
+                                         prune):
+    """The sieve's heights come from the orbits that the join walks, so a
+    pruned intersect evaluates f cap_m times and g cap_n times, as an
+    unpruned one does."""
+    real, calls = DynPoly.evaluate, []
+
+    def evaluate(self, point):
+        calls.append(self)
+        return real(self, point)
+
+    monkeypatch.setattr(DynPoly, "evaluate", evaluate)
+    sc = write(tmp_path, "quad.txt", QUADRATIC.replace(
+        "capM = 32; capN = 32", f"capM = 12; capN = 9; prune = {prune}"))
+    rc, out, err = run_cli(capsys, "--scenario", sc, "--format", "json")
+    assert rc == EXIT_OK, err
+    (run,) = json.loads(out)["runs"]
+    assert ("pruning" in run) == (prune == "on")
+    assert run["pairs"] == [[2 ** k, 2 ** k] for k in range(4)]
+    assert len(calls) == 12 + 9
 
 
 def test_version_matches_package_and_pyproject(tmp_path, capsys):
@@ -345,6 +370,37 @@ def test_each_scenario_of_a_run_has_its_own_budget(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "--scenario", sc, "--scenario", sc)
     assert rc == EXIT_OK, err
     assert "runs: 2" in out
+
+
+def test_budget_error_names_its_scenario_file(tmp_path, capsys):
+    good = write(tmp_path, "good.txt", INTERSECT_SQUARE.format(g="x^2 + t"))
+    bad = write(tmp_path, "cube.txt", HEIGHTS_CUBE)
+    rc, out, err = run_cli(capsys, "--scenario", good, "--scenario", bad)
+    assert rc == EXIT_BUDGET
+    assert out == ""
+    assert err == f"budget exhausted: {bad}: degree budget exhausted\n"
+
+
+def test_budget_error_while_running_names_its_scenario_file(
+        tmp_path, capsys, monkeypatch):
+    # no shipped check runs out at run time within seconds, so the run of
+    # the second scenario is replaced by one that spends more than is left
+    good = write(tmp_path, "good.txt", INTERSECT_SQUARE.format(g="x^2 + t"))
+    second = write(tmp_path, "second.txt",
+                   INTERSECT_SQUARE.format(g="x^2 + t"))
+    real, ran = cli.run_scenario, []
+
+    def run_scenario(sc):
+        ran.append(sc)
+        if len(ran) == 2:
+            Budget(degree=0).charge(1)
+        return real(sc)
+
+    monkeypatch.setattr(cli, "run_scenario", run_scenario)
+    rc, out, err = run_cli(capsys, "--scenario", good, "--scenario", second)
+    assert rc == EXIT_BUDGET
+    assert out == ""
+    assert err == f"budget exhausted: {second}: degree budget exhausted\n"
 
 
 def test_exit_check_failed_on_wrong_expectation(tmp_path, capsys):

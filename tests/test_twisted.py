@@ -15,6 +15,7 @@ from fforbits.field import FieldSpec, power
 from fforbits.funcfield import ExtElem, ExtRing, FFPoly, RatFunc
 from fforbits.dynpoly import Budget, DynPoly, KRing, is_additive
 from fforbits.twisted import TwistedPoly, _prime_field_pow, twisted_pow
+from fforbits.verify import _witnesses_15_16
 from fforbits.errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
 
 
@@ -197,6 +198,44 @@ def test_evaluate_matches_running_sum(case):
     assert value == running_sum(a, point)
     if vanishes:
         assert not value
+
+
+def polynomial_points(spec, c):
+    t, one = RatFunc.t(spec), RatFunc.one(spec)
+    return [t, c * t ** 3 + t + one, c * t ** 2]
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF5], ids=str)
+def test_evaluate_witness_powers_with_zero_runs(spec):
+    """The one sum on the tuples of check 15-16: (x + f)^m for its two
+    witnesses f and m <= p^2 has up to 3p^2 + 1 coefficients, with runs of
+    zeros between the nonzero ones."""
+    ring = KRing(spec)
+    gaps = 0
+    for f in _witnesses_15_16(spec):
+        a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
+        for m in range(1, spec.p ** 2 + 1):
+            a = twisted_pow(a1, m)
+            gaps += any(not c for c in a.coeffs[:-1])
+            for point in polynomial_points(spec, ring.from_int(-1)):
+                assert a.evaluate(point) == running_sum(a, point)
+    assert gaps
+
+
+@pytest.mark.parametrize("nonzero", [(0, 3), (1, 5, 6), (2, 7)],
+                         ids=lambda idx: "-".join(map(str, idx)))
+def test_evaluate_gf9_tuples_with_zero_runs(nonzero):
+    """Over GF(9) each nonzero coefficient pairs with the p^i-th power of
+    the point, whose coefficients are the i-fold Frobenius images."""
+    ring = KRing(GF9)
+    w, t = RatFunc.constant(GF9, GF9.gen()), RatFunc.t(GF9)
+    coeffs = [ring.zero()] * (nonzero[-1] + 1)
+    for k, i in enumerate(nonzero):
+        coeffs[i] = w * t ** k + w ** (k + 1)
+    a = TwistedPoly.make(ring, coeffs)
+    assert len(a.coeffs) == nonzero[-1] + 1
+    for point in polynomial_points(GF9, w):
+        assert a.evaluate(point) == running_sum(a, point)
 
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF5], ids=str)

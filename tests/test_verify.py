@@ -4,9 +4,16 @@ handling, and the result shape.  The mathematical content of each check
 is asserted by the check itself; here we make sure the harness around
 them behaves.
 """
+import math
+
 import pytest
 
-from fforbits.verify import CHECKS, SUITE_ORDER, run_example, verify_all
+from fforbits import verify
+from fforbits.dynpoly import orbit_prefix
+from fforbits.field import FieldSpec
+from fforbits.funcfield import KRing, RatFunc
+from fforbits.verify import (CHECKS, SUITE_ORDER, _binomial_sum,
+                             _witnesses_15_16, run_example, verify_all)
 from fforbits.errors import ValidationError
 
 
@@ -43,9 +50,51 @@ def test_run_example_unknown_id():
 
 def test_pmax_skips_larger_primes():
     results = verify_all(pmax=2)
-    assert all(r.status in ("PASS", "SKIP") for r in results)
+    assert {r.status for r in results} <= {"PASS", "SKIPPED"}
     skipped = [r for r in results if r.params.get("skippedPrimes")]
     assert skipped
+    # below every prime a check needs, the check reports itself skipped
+    assert {r.status for r in verify_all(pmax=1)} == {"PASS", "SKIPPED"}
+
+
+def running_binomial_sum(ring, fpts, m, p):
+    """sum_{i=1..m} C(m, i) fpts[i] as the running K sum check 15-16 used
+    to build, with C(m, i) mod p from math.comb."""
+    rhs = ring.from_int(0)
+    for i in range(1, m + 1):
+        b = math.comb(m, i) % p
+        if b:
+            rhs = rhs + fpts[i] * ring.from_int(b)
+    return rhs
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_binomial_sum_matches_running_sum(p):
+    spec = FieldSpec(p)
+    ring, t = KRing(spec), RatFunc.t(spec)
+    for f in _witnesses_15_16(spec):
+        fpts = orbit_prefix(f, t, p ** 3)
+        for m in range(1, p ** 3 + 1):
+            assert _binomial_sum(spec, fpts, m) \
+                == running_binomial_sum(ring, fpts, m, p)
+
+
+def test_check_15_16_fails_on_a_wrong_orbit_point(monkeypatch):
+    """One wrong point of g's orbit (the walk from 0) makes the binomial
+    sum at that index disagree."""
+    real = verify.orbit_prefix
+
+    def orbit_prefix(f, start, count):
+        out = real(f, start, count)
+        if not start:
+            out[5] = out[5] + RatFunc.one(start.spec)
+        return out
+
+    monkeypatch.setattr(verify, "orbit_prefix", orbit_prefix)
+    res = run_example("15-16", {"p": 3})
+    assert res.status == "FAIL"
+    assert res.detail.startswith("p=3, f=")
+    assert ": binomial sum at m=5: " in res.detail
 
 
 def test_single_prime_subset_still_passes():
