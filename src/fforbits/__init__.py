@@ -18,9 +18,8 @@ from .errors import (AlgebraError, BudgetExceeded, DegreeBudgetExceeded,
                      UndefinedSymbol, ValidationError, ZeroDivisor)
 from .field import FieldElem, FieldSpec, binom_mod
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
-from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET,
-                      AdditiveConjugacy, Budget, DynPoly, LinearMap,
-                      common_iterate, conjugate, conjugate_to_additive,
+from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, Budget,
+                      DynPoly, LinearMap, common_iterate, conjugate,
                       is_additive, orbit_element, orbit_prefix,
                       solve_affine_conjugacy)
 from .twisted import TwistedPoly, twisted_pow
@@ -31,7 +30,7 @@ from .heights import (HeightEstimate, HeightGapConstant, PruningData,
 from .orbits import (PlaneCurve, ReturnModel, ReturnSet,
                      ap_implies_common_iterate, curve_return_set,
                      fit_return_model, intersect_orbits,
-                     reduce_to_same_degree, synchronized_collisions)
+                     synchronized_collisions)
 from .parser import (ParseContext, Scenario, parse_curve, parse_expr,
                      parse_map, parse_modulus, parse_scalar, parse_scenario,
                      print_canonical)

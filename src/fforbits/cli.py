@@ -13,7 +13,7 @@ import time
 from typing import List, Optional
 
 from . import __version__ as VERSION
-from .errors import AlgebraError, BudgetExceeded, ParseError, ValidationError
+from .errors import AlgebraError, BudgetExceeded, ValidationError
 from .dynpoly import DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, DynPoly
 from .twisted import TwistedPoly
 from .heights import canonical_height, derive_pruning, height_gap_constant, \
@@ -300,9 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         where = f"{path}: " if path is not None else ""
         sys.stderr.write(f"budget exhausted: {where}{exc}\n")
         return EXIT_BUDGET
-    except (ValidationError, ParseError) as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
-        return EXIT_INVALID
     except (AlgebraError, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID

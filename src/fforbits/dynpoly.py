@@ -24,9 +24,8 @@ from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch,
                      TauDegreeBudgetExceeded)
-from .field import (FieldSpec, Frozen, binom_mod, dense_coeffs,
-                    format_terms, power, sparse_add, sparse_divmod,
-                    sparse_mul, sparse_neg)
+from .field import (FieldSpec, Frozen, binom_mod, format_terms, power,
+                    sparse_add, sparse_mul, sparse_neg)
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
@@ -129,11 +128,6 @@ class DynPoly(Frozen):
         return cls(ring, {0: c} if c else {})
 
     @classmethod
-    def monomial(cls, ring: Ring, e: int, c=1) -> "DynPoly":
-        c = _scalar_in(ring, c)
-        return cls(ring, {e: c} if c else {})
-
-    @classmethod
     def zero(cls, ring: Ring) -> "DynPoly":
         return cls(ring, {})
 
@@ -149,11 +143,6 @@ class DynPoly(Frozen):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def leading_coeff(self) -> Scalar:
-        if not self.terms:
-            return self.ring.zero()
-        return self.terms[max(self.terms)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, DynPoly) and self.ring == other.ring
@@ -316,13 +305,15 @@ def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
     return out
 
 
-def _binomial_terms(e: int, p: int, budget: Budget) -> Iterator[tuple]:
-    """(j, C(e, j) mod p) for every j whose base-p digits lie under those
-    of e, which by Lucas are exactly the j with C(e, j) nonzero mod p.
+def _binomial_power(g: DynPoly, e: int, budget: Budget) -> DynPoly:
+    """(u + v)^e expanded through base-p digits of e; exact in char p.
 
-    Their number, the product over the digits d of e of (d + 1), is charged
-    to the budget before the first is yielded.
+    By Lucas, C(e, j) is nonzero mod p exactly for the j whose base-p
+    digits lie under those of e.  Their number, the product over the digits
+    d of e of (d + 1), is charged to the budget before any term is formed,
+    so p-power exponents cost two terms no matter how large they are.
     """
+    p = g.spec.p
     digits = []
     m = e
     count = 1
@@ -333,24 +324,14 @@ def _binomial_terms(e: int, p: int, budget: Budget) -> Iterator[tuple]:
         m //= p
         budget.check(count)
     budget.charge(count)
+    (e1, c1), (e2, c2) = sorted(g.terms.items())
+    out: dict = {}
     for picks in itertools.product(*(range(d + 1) for d in digits)):
         j = 0
         coeff_mod = 1
         for idx in range(len(digits) - 1, -1, -1):
             j = j * p + picks[idx]
             coeff_mod = coeff_mod * binom_mod(digits[idx], picks[idx], p) % p
-        yield j, coeff_mod
-
-
-def _binomial_power(g: DynPoly, e: int, budget: Budget) -> DynPoly:
-    """(u + v)^e expanded through base-p digits of e; exact in char p.
-
-    The number of surviving terms is the product over digits d of (d+1),
-    so p-power exponents cost two terms no matter how large they are.
-    """
-    (e1, c1), (e2, c2) = sorted(g.terms.items())
-    out: dict = {}
-    for j, coeff_mod in _binomial_terms(e, g.spec.p, budget):
         c = (c1 ** j) * (c2 ** (e - j))
         c = c * _scalar_in(g.ring, coeff_mod)
         exp = e1 * j + e2 * (e - j)
@@ -451,89 +432,6 @@ def is_additive(f: DynPoly) -> bool:
     """True iff every exponent is a power of p (so f(x+y) = f(x)+f(y))."""
     p = f.spec.p
     return all(_is_p_power(e, p) for e in f.terms)
-
-
-class AdditiveConjugacy(Frozen):
-    """Outcome of conjugate_to_additive: additive = map o f o map^(-1).
-    When in_extension is True the witness generates K[y]/(G), which need
-    not be a field; arithmetic there flags zero divisors lazily."""
-
-    __slots__ = ("map", "additive", "in_extension")
-
-
-def conjugate_to_additive(f: DynPoly,
-                          height_bound: int = DEFAULT_ROOT_HEIGHT,
-                          budget: Optional[Budget] = None,
-                          max_candidates: int = DEFAULT_ROOT_CANDIDATES
-                          ) -> Optional[AdditiveConjugacy]:
-    """Search for a shift taking f to an additive polynomial.
-
-    Scaling conjugations permute coefficients but never change which
-    exponents occur, so only the translation part matters.  Expanding
-    f(x - b) + b with b left symbolic, every coefficient sitting on a
-    non-p-power exponent (the constant term included) is a polynomial in b
-    over K; a shift works exactly when it kills all of them, i.e. is a root
-    of their gcd G.  G == 0 means f was already additive (take b = 0),
-    constant G means no shift exists, and otherwise we look for a root of
-    bounded height in K before falling back to the quotient ring K[y]/(G).
-    """
-    if not isinstance(f.ring, KRing):
-        raise RingMismatch("additive-conjugacy search works over K")
-    if f.degree < 1:
-        raise ValueError("needs degree >= 1")
-    spec = f.spec
-    p = spec.p
-    budget = Budget.of(budget)
-    zero = RatFunc.zero(spec)
-
-    # coefficient of x^j is a polynomial in b: bpolys[j] maps b-exponent
-    # to a K value
-    bpolys: dict = {}
-    for e, c in f.terms.items():
-        for j, coeff_mod in _binomial_terms(e, p, budget):
-            if (e - j) & 1:
-                coeff_mod = coeff_mod * (p - 1) % p
-            val = c * RatFunc.constant(spec, coeff_mod)
-            row = bpolys.setdefault(j, {})
-            prev = row.get(e - j, zero)
-            now = prev + val
-            if now:
-                row[e - j] = now
-            else:
-                row.pop(e - j, None)
-
-    # the "+ b" tail of the conjugation
-    row = bpolys.setdefault(0, {})
-    prev = row.get(1, zero)
-    now = prev + RatFunc.one(spec)
-    if now:
-        row[1] = now
-    else:
-        row.pop(1, None)
-
-    # G = gcd of the constraints, made monic so that it can be a modulus
-    g: dict = {}
-    for j, row in bpolys.items():
-        if j == 0 or not _is_p_power(j, p):
-            budget.charge(max(row) + 1 if row else 0)
-            while row:
-                g, row = row, sparse_divmod(g, row)[1]
-    if not g:
-        mu = LinearMap.identity(f.ring)
-        return AdditiveConjugacy(mu, f, False)
-    top = max(g)
-    if not top:
-        return None
-    inv = g[top].inverse()
-    g = {e: c * inv for e, c in g.items()}
-    root_test = DynPoly(f.ring, g)
-    for beta in k_candidates(spec, height_bound, max_candidates):
-        if not root_test.evaluate(beta):
-            mu = LinearMap.shift(f.ring, beta)
-            return AdditiveConjugacy(mu, conjugate(f, mu, budget), False)
-    ext = ExtRing(spec, dense_coeffs(g, top + 1, zero))
-    mu = LinearMap.shift(ext, ext.y())
-    return AdditiveConjugacy(mu, conjugate(f, mu, budget), True)
 
 
 def solve_affine_conjugacy(f: DynPoly, gamma: RatFunc,

@@ -276,27 +276,29 @@ class FieldSpec(Frozen):
 
 
 def _split_prime_power(n: int) -> tuple:
-    if n < 2:
-        raise ValueError(f"{n} is not a prime power")
-    p = n
-    for q in range(2, n):
-        if q * q > n:
+    """(p, r) with p prime and p^r == n, found from integer r-th roots, so
+    that a large prime needs no trial division up to its square root."""
+    for r in range(1, n.bit_length()):
+        p = _iroot(n, r)
+        if p < 2:
             break
-        if n % q == 0:
-            p = q
-            break
-    r = 0
-    m = n
-    while m % p == 0 and m > 1:
-        m //= p
-        r += 1
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return p, r
+        if p ** r == n and _is_prime(p):
+            return p, r
+    raise ValueError(f"{n} is not a prime power")
+
+
+def _iroot(n: int, r: int) -> int:
+    """floor(n^(1/r)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 def _parse_modulus(text: str, p: int, r: int) -> tuple:
-    coeffs = [0] * (r + 1)
+    coeffs: dict = {}
     for raw in text.replace(" ", "").split("+"):
         if not raw:
             raise ParseError(f"empty term in modulus {text!r}")
@@ -314,8 +316,12 @@ def _parse_modulus(text: str, p: int, r: int) -> tuple:
             c, e = c * int(body), 0
         if e > r:
             raise ParseError(f"modulus degree exceeds {r}")
-        coeffs[e] = (coeffs[e] + c) % p
-    return tuple(coeffs)
+        coeffs[e] = (coeffs.get(e, 0) + c) % p
+    # r comes from the text and may be huge: test the top term before
+    # building the r + 1 coefficients
+    if coeffs.get(r) != 1:
+        raise ParseError(f"modulus must be monic of degree {r}")
+    return tuple(coeffs.get(e, 0) for e in range(r + 1))
 
 
 class FieldElem(Frozen):

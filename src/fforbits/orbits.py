@@ -16,13 +16,13 @@ describes the data within the caps and claims nothing beyond them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .dynpoly import Budget, DynPoly, orbit_element, orbit_prefix
 from .errors import RingMismatch
 from .field import Frozen
 from .funcfield import RatFunc
-from .heights import PruningData, multiplicative_dependence
+from .heights import PruningData
 
 
 class ReturnSet(Frozen):
@@ -93,43 +93,6 @@ def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
             for _ in range(s):
                 y = g.evaluate(y)
     return out
-
-
-class SameDegreeReduction(Frozen):
-    """Replacement data (f1, g1) = (f^r, g^s) with equal degrees, the
-    shifted starting points alpha1 = f^a(alpha), beta1 = g^b(beta), and the
-    exponents used."""
-
-    __slots__ = ("f1", "g1", "alpha1", "beta1", "r", "s", "a", "b")
-
-
-def reduce_to_same_degree(f: DynPoly, alpha, g: DynPoly, beta,
-                          cap_m: int = 16, cap_n: int = 16,
-                          budget: Optional[Budget] = None
-                          ) -> Optional[SameDegreeReduction]:
-    """Rewrite the intersection problem with both maps of equal degree.
-
-    None when the degrees are multiplicatively independent (the orbits can
-    then meet only finitely often).  The index shifts a, b are the residues
-    of the first observed collision within the caps, or 0 if none shows up.
-    """
-    if f.degree < 2 or g.degree < 2:
-        raise ValueError("needs degrees >= 2")
-    dep = multiplicative_dependence(f.degree, g.degree)
-    if dep is None:
-        return None
-    r, s = dep
-    hits = intersect_orbits(f, alpha, g, beta, cap_m, cap_n)
-    if hits.pairs:
-        m0, n0 = hits.pairs[0]
-        a, b = m0 % r, n0 % s
-    else:
-        a = b = 0
-    return SameDegreeReduction(
-        f.iterate(r, budget), g.iterate(s, budget),
-        orbit_element(f, _point(f, alpha), a),
-        orbit_element(g, _point(g, beta), b),
-        r, s, a, b)
 
 
 class PlaneCurve(Frozen):

@@ -138,16 +138,6 @@ class TwistedPoly(Frozen):
             out.pop()
         return TwistedPoly(self.ring, tuple(out))
 
-    def scale(self, c) -> "TwistedPoly":
-        """Left multiplication by a scalar (c acts before no twist)."""
-        c = _scalar_in(self.ring, c)
-        if not c:
-            return TwistedPoly.zero(self.ring)
-        out = [a * c for a in self.coeffs]
-        while out and not out[-1]:
-            out.pop()
-        return TwistedPoly(self.ring, tuple(out))
-
     def __pow__(self, n: int) -> "TwistedPoly":
         return twisted_pow(self, n)
 

@@ -426,6 +426,42 @@ def _source_env():
     return env
 
 
+def test_word_sized_prime_field_round_trips():
+    """GF(2^61 - 1) parses at once, as GF(p^1) does, and its printed form
+    reads back; a subprocess bounds a regression to the timeout."""
+    code = ("from fforbits.field import FieldSpec\n"
+            "q = 2 ** 61 - 1\n"
+            "spec = FieldSpec.parse(f'GF({q})')\n"
+            "assert spec == FieldSpec.parse(f'GF({q}^1)')\n"
+            "assert FieldSpec.parse(spec.format()) == spec\n"
+            "print(spec.format())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=_source_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "GF(2305843009213693951)\n"
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+def test_huge_extension_degree_is_invalid_input(tmp_path):
+    """A modulus whose top term is not w^r is refused before r + 1
+    coefficients are allocated; the run is held to 2 GiB of address space
+    so that a regression fails instead of eating memory."""
+    sc = write(tmp_path, "huge.txt",
+               "field = GF(2^10000000000; mod=w + 1)\n"
+               "f = x^2 + x; alpha = t; task = heights\n")
+    proc = subprocess.run([sys.executable, "-m", "fforbits", "--scenario", sc],
+                          capture_output=True, env=_source_env(), timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith("invalid input: ")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     """python -m fforbits runs from the source tree, no install needed."""
     args = ["--verify-all", "--pmax", "2", "--format", "json"]

@@ -53,6 +53,31 @@ def test_parse_rejects_garbage():
             FieldSpec.parse(bad)
 
 
+def _prime_power(q):
+    """(p, r) with p^r == q by trial division, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    r = 0
+    while q % p == 0:
+        q //= p
+        r += 1
+    return (p, r) if q == 1 else None
+
+
+def test_parse_order_as_a_prime_power():
+    """GF(q) is GF(p^r) for every prime power q < 2^12, and no other q
+    below it parses."""
+    for q in range(2, 2 ** 12):
+        pr = _prime_power(q)
+        if pr is None:
+            with pytest.raises(ParseError):
+                FieldSpec.parse(f"GF({q}; mod=w^2)")
+            continue
+        p, r = pr
+        mod = "" if r == 1 else f"; mod=w^{r}"
+        assert FieldSpec.parse(f"GF({q}{mod})") == \
+            FieldSpec.parse(f"GF({p}^{r}{mod})"), q
+
+
 def test_reducible_modulus_detected_on_inversion():
     # w^2 + 1 = (w+1)^2 over GF(2): accepted at parse time, the defect
     # surfaces the first time an inverse walks through the bad factor.

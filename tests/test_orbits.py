@@ -16,7 +16,7 @@ from fforbits.heights import PruningData, derive_pruning, pruned_candidates
 from fforbits.orbits import (PlaneCurve, ReturnModel, ReturnSet,
                              ap_implies_common_iterate, curve_return_set,
                              fit_return_model, intersect_orbits,
-                             reduce_to_same_degree, synchronized_collisions)
+                             synchronized_collisions)
 
 
 GF2 = FieldSpec(2)
@@ -137,29 +137,6 @@ def test_synchronized_collisions_validates_args():
     f, alpha, g, beta = quadratic_pair()
     with pytest.raises(ValueError):
         synchronized_collisions(f, alpha, g, beta, 0, 1, 0, 0, 4)
-
-
-def test_reduce_to_same_degree_trivial_when_equal():
-    f, alpha, g, beta = quadratic_pair()
-    red = reduce_to_same_degree(f, alpha, g, beta)
-    assert red is not None
-    assert (red.r, red.s) == (1, 1)
-    assert red.f1.degree == red.g1.degree
-
-
-def test_reduce_to_same_degree_mixed():
-    f = dyn(K2, {2: 1, 1: 1})
-    g = dyn(K2, {4: 1, 2: 1})   # f о f, so degrees 2 vs 4
-    red = reduce_to_same_degree(f, RatFunc.t(GF2), g, RatFunc.t(GF2))
-    assert red is not None
-    assert (red.r, red.s) == (2, 1)
-    assert red.f1.degree == red.g1.degree == 4
-
-
-def test_reduce_to_same_degree_independent():
-    f = dyn(K2, {2: 1, 1: 1})
-    g = dyn(K2, {6: 1, 2: 1})
-    assert reduce_to_same_degree(f, RatFunc.t(GF2), g, RatFunc.t(GF2)) is None
 
 
 def test_plane_curve_diagonal():

@@ -17,13 +17,12 @@ from pathlib import Path
 import pytest
 
 import fforbits
-from fforbits.dynpoly import AdditiveConjugacy, LinearMap
+from fforbits.dynpoly import LinearMap
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, FFPoly, KRing, RatFunc
 from fforbits.heights import (PruningData, canonical_height,
                               height_gap_constant)
-from fforbits.orbits import (ReturnModel, intersect_orbits,
-                             reduce_to_same_degree)
+from fforbits.orbits import ReturnModel, intersect_orbits
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_map,
                              parse_modulus, parse_scalar, parse_scenario)
 from fforbits.verify import CheckResult
@@ -54,14 +53,10 @@ VALUES = {
     "TwistedPoly": parse_map("t*T^2 + T", CTX3),
     "PlaneCurve": parse_curve("x1^2 - t*x2", GF3, None),
     "LinearMap": LinearMap.make(K3, 2, T),
-    "AdditiveConjugacy": AdditiveConjugacy(
-        LinearMap.shift(K3, T), parse_map("x^3 + t*x", CTX3), False),
     "HeightGapConstant": height_gap_constant(F),
     "HeightEstimate": canonical_height(F, T),
     "PruningData": PruningData(Fraction(1, 3), Fraction(-2), Fraction(5)),
     "ReturnSet": intersect_orbits(F, T, F, T, 3, 3),
-    "SameDegreeReduction": reduce_to_same_degree(
-        F, T, parse_map("x^4 + t", CTX3), T, 2, 2),
     "ReturnModel": ReturnModel(3, 40, (5,), ((2, 0),),
                                ((Fraction(1, 2), Fraction(-1, 2), 1),)),
     "CheckResult": CheckResult("2.1", "slug", "PASS", "ok", {"p": 3}),
@@ -71,13 +66,10 @@ UNHASHABLE = {"PlaneCurve", "CheckResult"}
 # the public slots, in order, name the constructor's fields
 FIELDS = {
     "LinearMap": ("ring", "a", "b"),
-    "AdditiveConjugacy": ("map", "additive", "in_extension"),
     "HeightGapConstant": ("B",),
     "HeightEstimate": ("value", "error_bound", "iterations"),
     "PruningData": ("u1", "u2", "c"),
     "ReturnSet": ("pairs", "cap_m", "cap_n", "exhaustive"),
-    "SameDegreeReduction": ("f1", "g1", "alpha1", "beta1", "r", "s", "a",
-                            "b"),
     "ReturnModel": ("p", "cap", "finite", "aps", "psets"),
     "CheckResult": ("check_id", "slug", "status", "detail", "params"),
     "PlaneCurve": ("ring", "terms"),
