@@ -21,7 +21,7 @@ from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, Budget,
                       DynPoly, LinearMap, common_iterate, conjugate,
                       is_additive, orbit_element, orbit_prefix,
-                      solve_affine_conjugacy)
+                      solve_affine_conjugacy, walk)
 from .twisted import TwistedPoly, twisted_pow
 from .heights import (HeightEstimate, HeightGapConstant, PruningData,
                       canonical_height, derive_pruning, height_gap_constant,

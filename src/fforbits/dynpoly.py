@@ -13,8 +13,9 @@ multiplications spent; its T-degree cap bounds twisted powers.  Running out
 raises DegreeBudgetExceeded or TauDegreeBudgetExceeded rather than grinding
 away.  A scenario run builds one Budget from its limits and every
 expression of the file draws on it; an entry point called without one gets
-a fresh default Budget for that call.  Pointwise orbit evaluation is not
-metered.
+a fresh default Budget for that call.  Pointwise orbits are walked only by
+walk, the one loop that evaluates a map point after point; it is not
+metered yet.
 """
 
 from __future__ import annotations
@@ -389,26 +390,29 @@ class LinearMap(Frozen):
         return str(self.as_dynpoly())
 
 
-def orbit_element(f: DynPoly, start, n: int):
-    """f^n(start), computed pointwise; never expands f^n."""
+def walk(f: DynPoly, start) -> Iterator:
+    """start, f(start), f^2(start), ...: each point is evaluated only when
+    asked for, so a capped consumer never evaluates past its cap.  An int
+    start is read in the ring of f."""
     if f.degree < 1:
         raise ValueError("orbits need degree >= 1")
-    value = start
-    for _ in range(n):
-        value = f.evaluate(value)
-    return value
+    if isinstance(start, int):
+        start = f.ring.from_int(start)
+    # f.evaluate is looked up at each step, so a patched or wrapped
+    # evaluate sees every step
+    return itertools.accumulate(itertools.repeat(f),
+                                lambda point, f: f.evaluate(point),
+                                initial=start)
+
+
+def orbit_element(f: DynPoly, start, n: int):
+    """f^n(start), computed pointwise; never expands f^n."""
+    return next(itertools.islice(walk(f, start), n, None))
 
 
 def orbit_prefix(f: DynPoly, start, count: int) -> list:
     """[start, f(start), ..., f^(count)(start)], length count+1."""
-    if f.degree < 1:
-        raise ValueError("orbits need degree >= 1")
-    out = [start]
-    value = start
-    for _ in range(count):
-        value = f.evaluate(value)
-        out.append(value)
-    return out
+    return list(itertools.islice(walk(f, start), count + 1))
 
 
 def conjugate(f: DynPoly, mu: LinearMap,

@@ -1,10 +1,11 @@
 """Orbit intersection and the shape of return sets.
 
 The search primitives are exact and pointwise: orbits are walked by repeated
-evaluation, collisions are found by keying a dict with the points themselves
-(hash and equality are structural on canonical forms, so a dict hit is a
-structural match), and an optional height sieve then tests each pair found;
-with sound height data it admits every true collision.
+evaluation through dynpoly.walk, collisions are found by keying a dict with
+the points themselves (hash and equality are structural on canonical forms,
+so a dict hit is a structural match), and an optional height sieve then
+tests each pair found; with sound height data it admits every true
+collision.
 
 fit_return_model classifies a finite slice of a return set into the shapes
 that actually occur here: arithmetic progressions {a*k + b}, geometric
@@ -16,12 +17,12 @@ describes the data within the caps and claims nothing beyond them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from .dynpoly import Budget, DynPoly, orbit_element, orbit_prefix
+from .dynpoly import Budget, DynPoly, walk
 from .errors import RingMismatch
 from .field import Frozen
-from .funcfield import RatFunc
 from .heights import PruningData
 
 
@@ -45,34 +46,27 @@ def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
                      ) -> ReturnSet:
     """All (m, n) within the caps where the two orbits meet.
 
-    Collisions are found by one dict join of the two walked orbits; with
-    pruning, only the joined pairs that the height sieve admits are kept.
-    pruning may also be a function that derives the sieve data from the
-    walked end points f^cap_m(alpha), g^cap_n(beta), so none is walked twice.
+    f's orbit is indexed in a dict keyed by its points, and g's orbit is
+    streamed against that index; with pruning, only the joined pairs that
+    the height sieve admits are kept.  pruning may also be a function that
+    derives the sieve data from the walked end points f^cap_m(alpha),
+    g^cap_n(beta), so none is walked twice.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("orbit intersection is for degrees >= 2")
     if f.ring != g.ring:
         raise RingMismatch("orbits live in different rings")
-    orbit_a = orbit_prefix(f, _point(f, alpha), cap_m)
-    orbit_b = orbit_prefix(g, _point(g, beta), cap_n)
-    if callable(pruning):
-        pruning = pruning(orbit_a[-1], orbit_b[-1])
     index = {}
-    for m, v in enumerate(orbit_a):
-        index.setdefault(v, []).append(m)
-    pairs = sorted((m, n) for n, v in enumerate(orbit_b)
-                   for m in index.get(v, ())
-                   if pruning is None
-                   or pruning.admits(f.degree, g.degree, m, n))
+    for m, end_a in enumerate(islice(walk(f, alpha), cap_m + 1)):
+        index.setdefault(end_a, []).append(m)
+    joined = []
+    for n, end_b in enumerate(islice(walk(g, beta), cap_n + 1)):
+        joined.extend((m, n) for m in index.get(end_b, ()))
+    if callable(pruning):
+        pruning = pruning(end_a, end_b)
+    pairs = sorted(pair for pair in joined if pruning is None
+                   or pruning.admits(f.degree, g.degree, *pair))
     return ReturnSet(tuple(pairs), cap_m, cap_n, True)
-
-
-def _point(f: DynPoly, value):
-    # accept raw ints and K values; evaluate() does the ring checking
-    if isinstance(value, int):
-        return f.ring.from_int(value)
-    return value
 
 
 def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
@@ -81,18 +75,10 @@ def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
     """All n <= cap_n with f^(r*n+a)(alpha) = g^(s*n+b)(beta)."""
     if r < 1 or s < 1 or a < 0 or b < 0:
         raise ValueError("need r, s >= 1 and a, b >= 0")
-    x = orbit_element(f, _point(f, alpha), a)
-    y = orbit_element(g, _point(g, beta), b)
-    out = []
-    for n in range(cap_n + 1):
-        if x == y:
-            out.append(n)
-        if n < cap_n:
-            for _ in range(r):
-                x = f.evaluate(x)
-            for _ in range(s):
-                y = g.evaluate(y)
-    return out
+    points = zip(islice(walk(f, alpha), a, None, r),
+                 islice(walk(g, beta), b, None, s))
+    return [n for n, (x, y) in enumerate(islice(points, cap_n + 1))
+            if x == y]
 
 
 class PlaneCurve(Frozen):
@@ -152,15 +138,9 @@ class PlaneCurve(Frozen):
 def curve_return_set(f: DynPoly, g: DynPoly, gamma: Tuple, curve: PlaneCurve,
                      cap_n: int) -> List[int]:
     """All n <= cap_n with F(f^n(gamma1), g^n(gamma2)) = 0."""
-    v1, v2 = _point(f, gamma[0]), _point(g, gamma[1])
-    out = []
-    for n in range(cap_n + 1):
-        if not curve.evaluate(v1, v2):
-            out.append(n)
-        if n < cap_n:
-            v1 = f.evaluate(v1)
-            v2 = g.evaluate(v2)
-    return out
+    points = zip(walk(f, gamma[0]), walk(g, gamma[1]))
+    return [n for n, (v1, v2) in enumerate(islice(points, cap_n + 1))
+            if not curve.evaluate(v1, v2)]
 
 
 class ReturnModel(Frozen):
@@ -279,15 +259,10 @@ def ap_implies_common_iterate(f: DynPoly, g: DynPoly, a: int, b: int,
     """
     if a < 1 or b < 0:
         raise ValueError("need a >= 1 and b >= 0")
-    x = orbit_element(f, _point(f, alpha), b)
-    y = orbit_element(g, _point(g, beta), b)
-    for n in range(cap_n + 1):
-        if x != y:
-            return "refuted-data"
-        if n < cap_n:
-            for _ in range(a):
-                x = f.evaluate(x)
-                y = g.evaluate(y)
+    points = zip(islice(walk(f, alpha), b, None, a),
+                 islice(walk(g, beta), b, None, a))
+    if any(x != y for x, y in islice(points, cap_n + 1)):
+        return "refuted-data"
     if f.iterate(a, budget) == g.iterate(a, budget):
         return "confirmed"
     return "refuted-iterate"

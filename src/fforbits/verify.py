@@ -8,13 +8,15 @@ identity with both sides printed in canonical form.
 """
 
 import random
+from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from .errors import ValidationError
 from .field import FieldSpec, Frozen, binom_mod, sparse_lincomb
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DynPoly, LinearMap, conjugate, is_additive,
-                      orbit_element, orbit_prefix, solve_affine_conjugacy)
+                      orbit_element, orbit_prefix, solve_affine_conjugacy,
+                      walk)
 from .twisted import TwistedPoly, twisted_pow
 
 
@@ -77,7 +79,7 @@ def check_101(params: dict) -> CheckResult:
     spec = FieldSpec(2)
     t = RatFunc.t(spec)
     g = _x_poly(spec, {2: 1}) + DynPoly.constant(KRing(spec), t * t + t)
-    points = orbit_prefix(g, KRing(spec).from_int(0), mmax)
+    points = orbit_prefix(g, 0, mmax)
     for m in range(1, mmax + 1):
         rhs = _t_powers(spec, (2 ** m, 1))
         if points[m] != rhs:
@@ -397,18 +399,15 @@ def check_2_5(params: dict) -> CheckResult:
         t = RatFunc.t(spec)
         gt = TwistedPoly.make(ring, [lam] + [ring.from_int(0)] * (r - 1)
                               + [ring.from_int(1)])
-        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, -(lam * t)))
-        f = _x_poly(spec, {p: 1})
         fixed = -(lam * t)
-        gpt = fixed
-        fpt = fixed
-        for m in range(1, mmax + 1):
-            gpt = g.evaluate(gpt)
+        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, fixed))
+        f = _x_poly(spec, {p: 1})
+        points = zip(walk(g, fixed), walk(f, fixed))
+        for m, (gpt, fpt) in enumerate(islice(points, 1, mmax + 1), 1):
             if gpt != fixed:
                 return _failed(cid, slug, params,
                                f"(p,r)=({p},{r}): fixed point lost at m={m}",
                                gpt, fixed)
-            fpt = f.evaluate(fpt)
             if fpt == fixed:
                 return _failed(cid, slug, params,
                                f"(p,r)=({p},{r}): power-map orbit returned "

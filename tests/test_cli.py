@@ -322,6 +322,19 @@ def test_exit_invalid_on_missing_g(tmp_path, capsys):
     assert rc == EXIT_INVALID
 
 
+@pytest.mark.parametrize("task", ["synchronized", "curve-return"])
+def test_exit_invalid_on_constant_map(tmp_path, capsys, task):
+    """Every orbit walk needs degree >= 1, whichever task walks it."""
+    curve = "\ncurve = x1 + x2" if task == "curve-return" else ""
+    text = QUADRATIC.replace("f = x^2 + x", "f = t").replace(
+        "task = intersect", f"task = {task}{curve}")
+    sc = write(tmp_path, "const.txt", text)
+    rc, out, err = run_cli(capsys, "--scenario", sc)
+    assert rc == EXIT_INVALID
+    assert "degree >= 1" in err
+    assert out == ""
+
+
 def test_exit_invalid_on_bad_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--no-such-flag"])

@@ -3,6 +3,7 @@ Tests for orbit intersection, synchronized collisions, plane-curve
 returns, and the return-set model fitter.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from fforbits.orbits import (PlaneCurve, ReturnModel, ReturnSet,
                              ap_implies_common_iterate, curve_return_set,
                              fit_return_model, intersect_orbits,
                              synchronized_collisions)
+from fforbits.verify import run_example
 
 
 GF2 = FieldSpec(2)
@@ -323,3 +325,58 @@ def test_ap_implies_common_iterate_refuted_by_iterate():
     one = RatFunc.one(GF2)
     verdict = ap_implies_common_iterate(f, g, 1, 0, one, one, 6)
     assert verdict == "refuted-iterate"
+
+
+# Lazy walks: each map is evaluated exactly as often as its last point needs
+
+
+def _synchronized(counts):
+    f, alpha, g, beta = quadratic_pair()
+    synchronized_collisions(f, alpha, g, beta, 2, 3, 1, 2, 5)
+    return {f: 1 + 2 * 5, g: 2 + 3 * 5}
+
+
+def _curve_return(counts):
+    f, alpha, g, beta = quadratic_pair()
+    curve_return_set(f, g, (alpha, beta), PlaneCurve.diagonal(K2), 7)
+    return {f: 7, g: 7}
+
+
+def _ap_confirmed(counts):
+    """x + 1 and x agree at every odd step from 0 and 1, and both square
+    to the identity."""
+    f, g = dyn(K2, {1: 1, 0: 1}), dyn(K2, {1: 1})
+    verdict = ap_implies_common_iterate(f, g, 2, 1, 0, 1, 6)
+    assert verdict == "confirmed"
+    return {f: 1 + 2 * 6, g: 1 + 2 * 6}
+
+
+def _ap_refuted(counts):
+    """The quadratic pair meets at steps 2 and 4 but not 6, so the claimed
+    progression {2n + 2} fails first at n = 2."""
+    f, alpha, g, beta = quadratic_pair()
+    verdict = ap_implies_common_iterate(f, g, 2, 2, alpha, beta, 6)
+    assert verdict == "refuted-data"
+    return {f: 2 + 2 * 2, g: 2 + 2 * 2}
+
+
+def _check_2_5(counts):
+    assert run_example("2.5", {"nmax": 4}).status == "PASS"
+    # x^p and the conjugated twisted map, for (p, r) = (2, 2) and (3, 2)
+    assert len(counts) == 4
+    return {m: 4 for m in counts}
+
+
+@pytest.mark.parametrize("case", [_synchronized, _curve_return, _ap_confirmed,
+                                  _ap_refuted, _check_2_5],
+                         ids=lambda case: case.__name__.lstrip("_"))
+def test_walks_evaluate_no_point_past_the_cap(monkeypatch, case):
+    real, counts = DynPoly.evaluate, Counter()
+
+    def evaluate(self, point):
+        counts[self] += 1
+        return real(self, point)
+
+    monkeypatch.setattr(DynPoly, "evaluate", evaluate)
+    want = case(counts)
+    assert dict(counts) == want
