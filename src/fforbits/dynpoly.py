@@ -4,7 +4,9 @@ A DynPoly is a sparse polynomial in x whose coefficients live either in
 K = GF(q)(t) (a KRing handle) or in an extension K[y]/(M) (an ExtRing).
 Exponents are arbitrary-precision, which matters: additive polynomials have
 only p-power exponents and their iterates reach x^(p^k) for large k while
-staying a handful of terms.
+staying a handful of terms.  Every power, of a two-term base too, is one
+field.power over Frobenius images.  An affine conjugacy of an additive map
+is solved for exactly: its root is found in K whenever K has one.
 
 Symbolic expansion (compose, iterate, powers, here and in twisted and the
 parser) draws on one Budget.  Its degree work is a single number bounding
@@ -25,14 +27,12 @@ from typing import Iterator, Optional, Union
 
 from .errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch,
                      TauDegreeBudgetExceeded)
-from .field import (FieldSpec, Frozen, binom_mod, format_terms, power,
-                    sparse_add, sparse_mul, sparse_neg)
-from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
+from .field import (FieldSpec, Frozen, format_terms, power, sparse_add,
+                    sparse_lincomb, sparse_mul, sparse_neg)
+from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc, _elem
 
 DEFAULT_DEGREE_BUDGET = 2 ** 20
 DEFAULT_TAU_BUDGET = 4096
-DEFAULT_ROOT_HEIGHT = 8
-DEFAULT_ROOT_CANDIDATES = 200_000
 
 Ring = Union[KRing, ExtRing]
 Scalar = Union[RatFunc, ExtElem]
@@ -294,9 +294,15 @@ def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
     elif len(g.terms) == 1:
         (ge, gc), = g.terms.items()
         out = DynPoly(g.ring, {ge * e: gc ** e})
-    elif len(g.terms) == 2:
-        out = _binomial_power(g, e, budget)
     else:
+        if len(g.terms) == 2:
+            # by Lucas, (u + v)^e has prod(d + 1) terms over the base-p
+            # digits d of e; too many are refused before any product
+            count, m, p = 1, e, g.spec.p
+            while m:
+                count *= m % p + 1
+                m //= p
+                budget.check(count)
         # Frobenius images cost no multiplication, so only the digit powers
         # (kept in the caller's cache) and one product per further nonzero
         # digit are paid for
@@ -304,49 +310,6 @@ def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
                     DynPoly.frobenius, g.spec.p, cache)
     cache[e] = out
     return out
-
-
-def _binomial_power(g: DynPoly, e: int, budget: Budget) -> DynPoly:
-    """(u + v)^e expanded through base-p digits of e; exact in char p.
-
-    By Lucas, C(e, j) is nonzero mod p exactly for the j whose base-p
-    digits lie under those of e.  Their number, the product over the digits
-    d of e of (d + 1), is charged to the budget before any term is formed,
-    so p-power exponents cost two terms no matter how large they are.
-    """
-    p = g.spec.p
-    digits = []
-    m = e
-    count = 1
-    while m:
-        d = m % p
-        digits.append(d)
-        count *= d + 1
-        m //= p
-        budget.check(count)
-    budget.charge(count)
-    (e1, c1), (e2, c2) = sorted(g.terms.items())
-    out: dict = {}
-    for picks in itertools.product(*(range(d + 1) for d in digits)):
-        j = 0
-        coeff_mod = 1
-        for idx in range(len(digits) - 1, -1, -1):
-            j = j * p + picks[idx]
-            coeff_mod = coeff_mod * binom_mod(digits[idx], picks[idx], p) % p
-        c = (c1 ** j) * (c2 ** (e - j))
-        c = c * _scalar_in(g.ring, coeff_mod)
-        exp = e1 * j + e2 * (e - j)
-        s = out.get(exp)
-        if s is None:
-            if c:
-                out[exp] = c
-        else:
-            s = s + c
-            if s:
-                out[exp] = s
-            else:
-                del out[exp]
-    return DynPoly(g.ring, out)
 
 
 class LinearMap(Frozen):
@@ -438,15 +401,12 @@ def is_additive(f: DynPoly) -> bool:
     return all(_is_p_power(e, p) for e in f.terms)
 
 
-def solve_affine_conjugacy(f: DynPoly, gamma: RatFunc,
-                           height_bound: int = DEFAULT_ROOT_HEIGHT,
-                           max_candidates: int = DEFAULT_ROOT_CANDIDATES
-                           ) -> Scalar:
+def solve_affine_conjugacy(f: DynPoly, gamma: RatFunc) -> Scalar:
     """A root delta of f(z) - z = gamma, so that adding gamma to an additive
     f is the shift conjugate tau_(-delta) o f o tau_delta.
 
-    Searches K by bounded height first, then adjoins a root of the monic
-    normalization of f(z) - z - gamma.
+    The root lies in K whenever K has one (see _root_in_K); otherwise it is
+    adjoined as a root of the monic normalization of f(z) - z - gamma.
     """
     if not isinstance(f.ring, KRing):
         raise RingMismatch("affine-conjugacy solving works over K")
@@ -454,69 +414,95 @@ def solve_affine_conjugacy(f: DynPoly, gamma: RatFunc,
         raise NotAdditive(f"{f} is not additive")
     spec = f.spec
     gamma = _scalar_in(f.ring, gamma)
-    for beta in k_candidates(spec, height_bound, max_candidates):
-        if f.evaluate(beta) - beta == gamma:
-            return beta
-    # dense coefficient vector of f(z) - z - gamma, made monic
-    deg = f.degree
     zero = RatFunc.zero(spec)
-    dense = [zero] * (deg + 1)
-    for e, c in f.terms.items():
-        dense[e] = dense[e] + c
-    dense[1] = dense[1] - RatFunc.one(spec)
-    dense[0] = dense[0] - gamma
+    # L(z) = f(z) - z, F_p-linear as f is additive
+    lin = {**f.terms, 1: f.terms.get(1, zero) - RatFunc.one(spec)}
+    delta = _root_in_K(DynPoly(f.ring, {e: a for e, a in lin.items() if a}),
+                       gamma)
+    if delta is not None:
+        return delta
+    # dense coefficient vector of L(z) - gamma, made monic
+    dense = [lin.get(e, zero) for e in range(max(lin) + 1)]
+    dense[0] = -gamma
     lead = dense[-1]
     if not lead.is_one():
         inv = lead.inverse()
         dense = [c * inv for c in dense]
-    ext = ExtRing(spec, dense)
-    return ext.y()
+    return ExtRing(spec, dense).y()
 
 
-def k_candidates(spec: FieldSpec, height_bound: int,
-                 max_candidates: int = DEFAULT_ROOT_CANDIDATES
-                 ) -> Iterator[RatFunc]:
-    """Elements of K in deterministic order of increasing height:
-    0, the nonzero constants, then per height polynomials before proper
-    fractions.  Stops after max_candidates yields."""
-    return itertools.islice(_k_elements(spec, height_bound), max_candidates)
+def _root_in_K(lin: DynPoly, gamma: RatFunc) -> Optional[RatFunc]:
+    """A root in K of L(z) = sum a_e z^e = gamma, for an F_p-linear L with
+    top exponent k (Goss, Basic Structures of Function Field Arithmetic,
+    ch. 1), or None when K has none.
+
+    Where a root has a pole of order u, either a_k z^k alone has the least
+    valuation, so v(gamma) = v(a_k) - k*u, or a lower term ties with it or
+    beats it, so u <= (v(a_k) - v(a_e))/(k - e).  Hence u <= v(M) at every
+    finite place for M = num(a_k) den(gamma) prod_(e<k) den(a_e), and the
+    same argument at infinity bounds deg(root).  So a root is N/M, and the
+    GF(p) coordinates of N's coefficients solve one linear system.
+    """
+    if not lin:
+        return None if gamma else gamma
+    spec, r, k = gamma.spec, gamma.spec.r, lin.degree
+    top = lin.terms[k]
+
+    def deg(x: RatFunc) -> int:
+        return x.num.degree - x.den.degree
+
+    m, clear = top.num * gamma.den, gamma.den * top.den
+    bound = [0, (deg(gamma) - deg(top)) // k] if gamma else [0]
+    for e, a in lin.terms.items():
+        if e < k:
+            m, clear = m * a.den, clear * a.den
+            bound.append((deg(a) - deg(top)) // (k - e))
+    # L(b/M) * clear and gamma * clear are polynomials for every b in F_q[t]
+    clear = RatFunc.from_poly(clear * m ** k)
+
+    def coords(x: RatFunc) -> dict:
+        # key i*r + j holds the w^j part of the coefficient of t^i
+        return {i * r + j: c for i, a in (x * clear).num.terms.items()
+                for j, c in enumerate(_elem(spec, a).coeffs) if c}
+
+    units = [spec.elem([0] * j + [1]) for j in range(r)]
+    basis = [FFPoly.monomial(spec, i, w)
+             for i in range(m.degree + max(bound) + 1) for w in units]
+    x = _solve_mod_p([coords(lin.evaluate(RatFunc.make(b, m))) for b in basis],
+                     coords(gamma), spec.p)
+    if x is None:
+        return None
+    return RatFunc.make(sum((basis[i].scale(c) for i, c in x.items()),
+                            FFPoly.zero(spec)), m)
 
 
-def _k_elements(spec: FieldSpec, height_bound: int) -> Iterator[RatFunc]:
-    elems = list(spec.all_elements())
-    nonzero = elems[1:]
-    yield RatFunc.zero(spec)
-    for h in range(height_bound + 1):
-        # polynomials of degree exactly h, low coefficients varying fastest
-        for num in _polys_of_degree(spec, h, elems, nonzero):
-            yield RatFunc.from_poly(num)
-        # fractions with max(deg num, deg den) == h
-        for dd in range(1, h + 1):
-            for den in _monic_polys(spec, dd, elems, nonzero):
-                lo = h if dd < h else 0
-                for dn in range(lo, h + 1):
-                    for num in _polys_of_degree(spec, dn, elems, nonzero):
-                        if num.gcd(den).degree == 0:
-                            yield RatFunc(num, den)
+def _solve_mod_p(columns: list, target: dict, p: int) -> Optional[dict]:
+    """Some x with sum_i x[i] * columns[i] = target over GF(p), or None.
+    Vectors are sparse dicts of residues at keys >= 0; x is one too.
 
+    Column i carries its index as the entry 1 at key -1 - i, where no
+    pivot is taken, so reducing it records the combination of columns
+    taken.  Each pivot row is reduced against those before it, so one pass
+    over the pivots in order reduces any vector.
+    """
+    pivots: dict = {}
 
-def _polys_of_degree(spec, d, elems, nonzero):
-    if d == 0:
-        for c in nonzero:
-            yield FFPoly.constant(spec, c)
-        return
-    for lead in nonzero:
-        for rest in itertools.product(elems, repeat=d):
-            terms = dict(enumerate(rest))
-            terms[d] = lead
-            yield FFPoly.make(spec, terms)
+    def reduce(vec: dict) -> dict:
+        for key, row in pivots.items():
+            if vec.get(key):
+                vec = sparse_lincomb((({0: 1}, vec), ({0: -vec[key]}, row)), p)
+        return vec
 
-
-def _monic_polys(spec, d, elems, nonzero):
-    for rest in itertools.product(elems, repeat=d):
-        terms = dict(enumerate(rest))
-        terms[d] = 1
-        yield FFPoly.make(spec, terms)
+    for i, col in enumerate(columns):
+        vec = reduce({**col, -1 - i: 1})
+        key = max(vec)
+        if key >= 0:
+            pivots[key] = sparse_mul({0: pow(vec[key], -1, p)}, vec, p)
+    vec = reduce(target)
+    # now target + sum_i vec[-1 - i] * columns[i] = the part at keys >= 0
+    if max(vec, default=-1) >= 0:
+        return None
+    return {-1 - key: -c % p for key, c in vec.items()}
 
 
 def common_iterate(f: DynPoly, g: DynPoly, cap_m: int, cap_n: int,

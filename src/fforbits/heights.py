@@ -4,13 +4,13 @@ sieve that every orbit collision (m, n) passes.
 Everything here is exact: heights are integers, canonical-height estimates
 are Fractions with an explicit error bound, and the sieve inequality
 (PruningData.admits, one index pair at a time) is evaluated in rational
-arithmetic.
+arithmetic.  rationalize pins an estimate down by continued fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import List, Optional, Tuple
 
 from .dynpoly import DynPoly, orbit_element
@@ -103,23 +103,37 @@ def canonical_height(f: DynPoly, gamma: RatFunc,
 def rationalize(est: HeightEstimate, denominator_bound: int
                 ) -> Optional[Fraction]:
     """The unique rational with denominator <= bound inside the estimate's
-    closed interval, or None (no candidate, or more than one)."""
-    if denominator_bound < 1:
+    closed interval, or None (no candidate, or more than one).
+
+    The candidate is the simplest fraction a/b of the interval, read off
+    the continued fractions of its ends (Hardy-Wright, ch. X).  It is the
+    only one exactly when neither of its neighbours in the Farey series of
+    order bound (Hardy-Wright, ch. III) lies in the interval.  A neighbour
+    c/d has b*c - a*d = +-1, with d the largest such denominator up to the
+    bound.  Both steps take O(log bound) arithmetic operations.
+    """
+    n = denominator_bound
+    if n < 1:
         raise ValueError("denominator bound must be positive")
     lo, hi = est.interval()
-    found = None
-    for q in range(1, denominator_bound + 1):
-        n_lo = -((-lo.numerator * q) // lo.denominator)   # ceil(lo*q)
-        n_hi = (hi.numerator * q) // hi.denominator       # floor(hi*q)
-        if n_hi - n_lo > 1:
+    if lo > hi:
+        return None
+    # convergents p/q of the continued fraction that lo and hi share
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    x, y = lo, hi
+    while ceil(x) > y and q1 <= n:
+        c = floor(x)
+        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
+        x, y = 1 / (y - c), 1 / (x - c)
+    a, b = ceil(x) * p1 + p0, ceil(x) * q1 + q0
+    if b > n:
+        return None
+    for sign in (1, -1):
+        # the neighbour c/d on the side of sign, with b*c - a*d = sign
+        d = n - (n + sign * pow(a, -1, b)) % b
+        if lo <= Fraction((a * d + sign) // b, d) <= hi:
             return None
-        for n in range(n_lo, n_hi + 1):
-            cand = Fraction(n, q)
-            if found is None:
-                found = cand
-            elif cand != found:
-                return None
-    return found
+    return Fraction(a, b)
 
 
 def pruned_candidates(u1: Fraction, u2: Fraction, d: int, e: int,

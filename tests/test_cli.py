@@ -233,6 +233,16 @@ def test_heights_report_schema(tmp_path, capsys):
     assert "caps" not in run
 
 
+def test_heights_with_a_huge_denominator_bound(tmp_path, capsys):
+    # a bound this large cannot be walked denominator by denominator
+    sc = write(tmp_path, "h.txt",
+               "field = GF(2); f = x^2; alpha = t + 1; task = heights\n"
+               "denomBound = 1000000000000\n")
+    rc, out, _ = run_cli(capsys, "--scenario", sc)
+    assert rc == EXIT_OK
+    assert "rational: 1\n" in out
+
+
 def test_classify_report(tmp_path, capsys):
     sc = write(tmp_path, "c.txt", QUADRATIC.replace("task = intersect",
                                                     "task = classify"))

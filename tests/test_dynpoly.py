@@ -2,17 +2,20 @@
 Tests for polynomial self-maps over K and its extensions: composition,
 iteration, conjugation, additivity, and the degree budget.
 """
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
-from fforbits.funcfield import ExtRing, RatFunc
+from fforbits.funcfield import ExtRing, FFPoly, RatFunc
 from fforbits.dynpoly import (Budget, DynPoly, KRing, LinearMap,
                               common_iterate, conjugate, is_additive,
                               orbit_element, orbit_prefix,
                               solve_affine_conjugacy)
-from fforbits.errors import (DegreeBudgetExceeded, NotAdditive, RingMismatch)
+from fforbits.errors import (DegreeBudgetExceeded, DivisionByZero, NotAdditive,
+                             RingMismatch)
 
 
 GF2 = FieldSpec(2)
@@ -95,7 +98,7 @@ ORACLE_RINGS = {
 
 def _oracle_polys(ring):
     """A 2-term, a 3-term and a 4-term map whose coefficients move under
-    Frobenius; the 2-term one is powered by its binomial expansion."""
+    Frobenius."""
     if isinstance(ring, ExtRing):
         a, b = ring.y(), ring.y() + ring.from_K(RatFunc.t(ring.spec))
     else:
@@ -180,6 +183,23 @@ def test_pow_budget_enforced():
     f = dyn(K2, {1: 1, 0: t_of(GF2)})  # x + t, two terms
     with pytest.raises(DegreeBudgetExceeded):
         f.pow(2 ** 30 - 1, budget=Budget(2 ** 10))
+
+
+def test_binomial_power_is_refused_before_any_product(monkeypatch):
+    """(x + t)^e has prod(d + 1) terms over the base-3 digits d of e, by
+    Lucas; 3^30 of them are refused before a single product is formed."""
+    calls = []
+    real = DynPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(DynPoly, "__mul__", counted)
+    f = dyn(K3, {1: 1, 0: t_of(GF3)})
+    with pytest.raises(DegreeBudgetExceeded):
+        f.pow(3 ** 30 - 1, Budget(2 ** 20))
+    assert calls == []
 
 
 def test_pow_frobenius_exponent_is_cheap():
@@ -289,13 +309,158 @@ def test_solve_affine_conjugacy_in_K():
 
 
 def test_solve_affine_conjugacy_extension_witness():
-    """gamma = t forces the Artin-Schreier witness y^2 + y = t."""
+    """f(z) - z = z^2 = t has no root in K, so y^2 = t is adjoined."""
     f = dyn(K2, {2: 1, 1: 1})
-    delta = solve_affine_conjugacy(f, t_of(GF2), height_bound=1,
-                                   max_candidates=50)
+    delta = solve_affine_conjugacy(f, t_of(GF2))
     assert delta.ring.degree == 2
     lifted = f.lift_to(delta.ring)
     assert lifted.evaluate(delta) - delta == delta.ring.from_K(t_of(GF2))
+
+
+def test_solve_affine_conjugacy_of_the_identity():
+    """f = x makes f(z) - z zero: gamma = 0 has the root 0, and any other
+    gamma has none, so adjoining one divides by zero."""
+    f = DynPoly.x(K2)
+    assert solve_affine_conjugacy(f, RatFunc.zero(GF2)) == RatFunc.zero(GF2)
+    with pytest.raises(DivisionByZero):
+        solve_affine_conjugacy(f, t_of(GF2))
+
+
+def _polys_of_degree(spec, d, elems, nonzero):
+    if d == 0:
+        for c in nonzero:
+            yield FFPoly.constant(spec, c)
+        return
+    for lead in nonzero:
+        for rest in itertools.product(elems, repeat=d):
+            terms = dict(enumerate(rest))
+            terms[d] = lead
+            yield FFPoly.make(spec, terms)
+
+
+def _monic_polys(spec, d, elems):
+    for rest in itertools.product(elems, repeat=d):
+        terms = dict(enumerate(rest))
+        terms[d] = 1
+        yield FFPoly.make(spec, terms)
+
+
+def _k_elements(spec, height_bound):
+    """Elements of K in order of increasing height: 0, the nonzero
+    constants, then per height polynomials before proper fractions."""
+    elems = list(spec.all_elements())
+    nonzero = elems[1:]
+    yield RatFunc.zero(spec)
+    for h in range(height_bound + 1):
+        yield from map(RatFunc.from_poly,
+                       _polys_of_degree(spec, h, elems, nonzero))
+        for dd in range(1, h + 1):
+            for den in _monic_polys(spec, dd, elems):
+                for dn in range(h if dd < h else 0, h + 1):
+                    for num in _polys_of_degree(spec, dn, elems, nonzero):
+                        if num.gcd(den).degree == 0:
+                            yield RatFunc(num, den)
+
+
+def _k_search(f, gamma, height_bound, max_candidates):
+    """The first root of f(z) - z = gamma among the first max_candidates
+    elements of K of height <= height_bound: the bounded search that
+    solve_affine_conjugacy made before it solved exactly, kept as its
+    oracle."""
+    for beta in itertools.islice(_k_elements(f.spec, height_bound),
+                                 max_candidates):
+        if f.evaluate(beta) - beta == gamma:
+            return beta
+    return None
+
+
+def test_k_search_order():
+    # recorded from the enumeration as it stood in the package
+    assert [str(v) for v in _k_elements(GF2, 1)] == [
+        "0", "1", "t", "t + 1", "1/t", "(t + 1)/t", "1/(t + 1)", "t/(t + 1)"]
+    assert len(list(_k_elements(GF3, 2))) == 243
+
+
+def test_solve_affine_conjugacy_finds_a_root_past_a_short_search():
+    """The root 1/(t^2 + 1) has height 2: a search of height 1 (the one
+    check 2.1 used to make) misses it, and the exact solve finds it."""
+    t = t_of(GF3)
+    f = dyn(K3, {3: 1, 1: t})
+    root = (t * t + RatFunc.one(GF3)).inverse()
+    gamma = f.evaluate(root) - root
+    assert _k_search(f, gamma, 1, 500) is None
+    delta = solve_affine_conjugacy(f, gamma)
+    assert isinstance(delta, RatFunc)
+    assert f.evaluate(delta) - delta == gamma
+
+
+def test_solve_affine_conjugacy_root_with_a_pole_of_a_lower_coefficient():
+    """The planted root has a pole at t, where gamma has none and the x^2
+    coefficient has one: a denominator bound from num(a_k) and den(gamma)
+    alone finds no root here, so den(a_e) of the lower terms is needed."""
+    t, one = t_of(GF2), RatFunc.one(GF2)
+    f = dyn(K2, {4: (t + one) / (t * t + t + one), 2: (t * t).inverse(),
+                 1: t * t})
+    root = (t * t + t).inverse()
+    gamma = f.evaluate(root) - root
+    assert gamma.den.terms.get(0)                    # t does not divide it
+    delta = solve_affine_conjugacy(f, gamma)
+    assert isinstance(delta, RatFunc)
+    assert f.evaluate(delta) - delta == gamma
+
+
+AFFINE_FIELDS = (GF2, GF3, FieldSpec(5), FieldSpec(2, 2, modulus=(1, 1, 1)))
+
+
+@st.composite
+def k_values(draw, spec, height):
+    """An element of K of height at most height."""
+    coeffs = st.sampled_from(list(spec.all_elements()))
+
+    def poly():
+        d = draw(st.integers(0, height))
+        return FFPoly.make(spec, {i: draw(coeffs) for i in range(d + 1)})
+
+    num, den = poly(), poly()
+    return RatFunc.make(num, den if den else FFPoly.one(spec))
+
+
+@st.composite
+def affine_problems(draw):
+    """(f, gamma, planted): f additive with at most three p-power terms,
+    and gamma = f(root) - root for a root of height 0-3 when planted."""
+    spec = draw(st.sampled_from(AFFINE_FIELDS))
+    ring = KRing(spec)
+    exps = draw(st.sets(st.sampled_from([1, spec.p, spec.p ** 2]),
+                        min_size=1))
+    f = DynPoly.make(ring, {e: draw(k_values(spec, 1)) for e in exps})
+    planted = draw(st.booleans())
+    if planted:
+        root = draw(k_values(spec, draw(st.integers(0, 3))))
+        gamma = f.evaluate(root) - root
+    else:
+        gamma = draw(k_values(spec, 2))
+    return f, gamma, planted
+
+
+@given(affine_problems())
+@settings(max_examples=60, deadline=None)
+def test_solve_affine_conjugacy_matches_the_k_search(problem):
+    """A root in K is returned whenever a root of height <= 2 exists among
+    the search's first 400 candidates, or was planted, and every root
+    returned in K solves the equation."""
+    f, gamma, planted = problem
+    try:
+        delta = solve_affine_conjugacy(f, gamma)
+    except DivisionByZero:
+        # f = x with gamma != 0: no root anywhere
+        assert f == DynPoly.x(f.ring) and gamma
+        return
+    in_k = isinstance(delta, RatFunc)
+    if in_k:
+        assert f.evaluate(delta) - delta == gamma
+    if planted or _k_search(f, gamma, 2, 400) is not None:
+        assert in_k
 
 
 def test_solve_affine_conjugacy_rejects_non_additive():

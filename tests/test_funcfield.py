@@ -18,7 +18,7 @@ from fforbits.field import (_PACK_SPAN, _PACK_TERMS, FieldElem, FieldSpec,
 from fforbits import funcfield
 from fforbits.funcfield import (_GAP_FOR_POWMOD, ExtRing, FFPoly, KRing,
                                 RatFunc)
-from fforbits.dynpoly import DynPoly, k_candidates
+from fforbits.dynpoly import DynPoly
 from fforbits.errors import DivisionByZero, RingMismatch, ZeroDivisor
 
 
@@ -161,25 +161,6 @@ task = intersect
                 assert_canonical(a)
         assert sc.alpha == RatFunc.make(poly(sc.spec, {1: 1}),
                                         poly(sc.spec, {1: 1, 0: 1}))
-
-
-@pytest.mark.parametrize("spec", (GF3, GF4), ids=str)
-def test_k_candidates_are_canonical(spec):
-    values = list(k_candidates(spec, 2))
-    for v in values:
-        for a in polys_in(v):
-            assert_canonical(a)
-    assert len(set(values)) == len(values)
-
-
-def test_k_candidates_order():
-    # recorded from the hand-written enumeration this generator replaced
-    assert [str(v) for v in k_candidates(GF2, 1)] == [
-        "0", "1", "t", "t + 1", "1/t", "(t + 1)/t", "1/(t + 1)", "t/(t + 1)"]
-    assert len(list(k_candidates(GF3, 2))) == 243
-    assert len(list(k_candidates(GF4, 2))) == 1024
-    assert list(k_candidates(GF3, 2, 50)) == list(k_candidates(GF3, 2))[:50]
-    assert list(k_candidates(GF2, 1, 0)) == []
 
 
 def test_ffpoly_zero_coeffs_dropped():

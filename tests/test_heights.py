@@ -168,6 +168,39 @@ def test_rationalize_rejects_bad_bound():
         rationalize(HeightEstimate(Fraction(1), Fraction(0), 0), 0)
 
 
+def _rationalize_by_loop(est, denominator_bound):
+    """rationalize as it was first written: every denominator up to the
+    bound in turn, the oracle of the continued-fraction version."""
+    lo, hi = est.interval()
+    found = None
+    for q in range(1, denominator_bound + 1):
+        n_lo = -((-lo.numerator * q) // lo.denominator)   # ceil(lo*q)
+        n_hi = (hi.numerator * q) // hi.denominator       # floor(hi*q)
+        if n_hi - n_lo > 1:
+            return None
+        for n in range(n_lo, n_hi + 1):
+            cand = Fraction(n, q)
+            if found is None:
+                found = cand
+            elif cand != found:
+                return None
+    return found
+
+
+fractions_ = st.builds(Fraction, st.integers(-60, 600), st.integers(1, 400))
+
+
+@given(value=fractions_,
+       error=st.one_of(st.just(Fraction(0)),
+                       st.builds(Fraction, st.integers(0, 8),
+                                 st.integers(1, 5000))),
+       bound=st.integers(1, 200))
+@settings(max_examples=300, deadline=None)
+def test_rationalize_matches_the_denominator_loop(value, error, bound):
+    est = HeightEstimate(value, error, 0)
+    assert rationalize(est, bound) == _rationalize_by_loop(est, bound)
+
+
 def test_pruned_candidates_lexicographic_and_strict():
     out = pruned_candidates(Fraction(1), Fraction(1), 2, 2, Fraction(1), 5, 5)
     assert out == sorted(out)
