@@ -382,8 +382,8 @@ def test_k_search_order():
 
 
 def test_solve_affine_conjugacy_finds_a_root_past_a_short_search():
-    """The root 1/(t^2 + 1) has height 2: a search of height 1 (the one
-    check 2.1 used to make) misses it, and the exact solve finds it."""
+    """The root 1/(t^2 + 1) has height 2: the first 500 candidates of
+    height <= 1 miss it, and the exact solve finds it in K."""
     t = t_of(GF3)
     f = dyn(K3, {3: 1, 1: t})
     root = (t * t + RatFunc.one(GF3)).inverse()

@@ -187,10 +187,10 @@ def _rationalize_by_loop(est, denominator_bound):
     return found
 
 
-fractions_ = st.builds(Fraction, st.integers(-60, 600), st.integers(1, 400))
+rationals = st.builds(Fraction, st.integers(-60, 600), st.integers(1, 400))
 
 
-@given(value=fractions_,
+@given(value=rationals,
        error=st.one_of(st.just(Fraction(0)),
                        st.builds(Fraction, st.integers(0, 8),
                                  st.integers(1, 5000))),
