@@ -202,7 +202,7 @@ class DynPoly(Frozen):
         if n == 0:
             return DynPoly.constant(self.ring, 1)
         budget = Budget.of(budget)
-        budget.check_degree(self.degree, n)
+        budget.check(n * self.degree if self.degree > 1 else 0)
         return _poly_power(self, n, budget, {})
 
     # -- dynamics ---------------------------------------------------------

@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional, Tuple
 
-from .dynpoly import DynPoly, orbit_element
+from .dynpoly import DynPoly, walk
 from .field import Frozen
-from .funcfield import KRing, RatFunc
+from .funcfield import FFPoly, KRing, RatFunc
 
 DEFAULT_TARGET_ERROR = Fraction(1, 64)
 
@@ -79,7 +79,7 @@ def canonical_height(f: DynPoly, gamma: RatFunc,
                      target_error: Fraction = DEFAULT_TARGET_ERROR
                      ) -> HeightEstimate:
     """Estimate lim h(f^n(gamma))/d^n with the smallest N whose guaranteed
-    error B/(d^N (d-1)) meets target_error.
+    error B/(d^N (d-1)) meets target_error; orbit_height gives h(f^N(gamma)).
 
     The bound telescopes: |h(f^{n+1} x)/d^{n+1} - h(f^n x)/d^n| <= B/d^{n+1},
     and the geometric tail from N sums to B/(d^N (d-1)).
@@ -95,9 +95,88 @@ def canonical_height(f: DynPoly, gamma: RatFunc,
             raise ValueError("target_error must be positive")
         while Fraction(b, d ** n * (d - 1)) > target:
             n += 1
-    point = orbit_element(f, gamma, n)
-    return HeightEstimate(Fraction(point.height(), d ** n),
+    return HeightEstimate(Fraction(orbit_height(f, gamma, n), d ** n),
                           Fraction(b, d ** n * (d - 1)), n)
+
+
+def orbit_height(f: DynPoly, gamma: RatFunc, n: int) -> int:
+    """orbit_element(f, gamma, n).height(), walked until every place settles.
+
+    Write f = sum c_i x^i of degree d >= 2.  Poles of orbit points lie at
+    infinity or over a pairwise coprime base of F_q[t] in which den(gamma),
+    num(c_d) and each den(c_i) factor.  Over a base element b, let u be the
+    pole order of a point in units of b (if one u fits every place over b),
+    w the exponent of b in c_d and l_i <= v_b(c_i).  Once (d-i)*u > w - l_i
+    for each nonzero c_i with i < d and (d-1)*u > w, c_d x^d dominates
+    there ever after and u -> d*u - w (Call-Silverman 1993, Benedetto 2005).
+    A place where neither the point nor any c_i has a pole stays pole-free.
+    """
+    d = f.degree
+    if not isinstance(f.ring, KRing) or d < 2 or n < 0:
+        raise ValueError("needs a map over K of degree >= 2 and n >= 0")
+    lead = f.terms[d]
+
+    def place(b, low, zeros=0):  # low(c) <= v(c), exact at infinity
+        w = zeros + low(lead)
+        bar = max([Fraction(w, d - 1)] + [Fraction(w - low(c), d - i)
+                                          for i, c in f.terms.items() if i < d])
+        return b, w, bar, all(low(c) >= 0 for c in f.terms.values())
+
+    places = [place(b, lambda c: -_split(c.den, b)[0], _split(lead.num, b)[0])
+              for b in _coprime_base([gamma.den, lead.num]
+                                     + [c.den for c in f.terms.values()])]
+    places.append(place(None, lambda c: c.den.degree - c.num.degree))
+    for k, point in enumerate(walk(f, gamma)):
+        h = point.height() if k == n else _later_height(point, places, d,
+                                                        d ** (n - k))
+        if h is not None:
+            return h
+
+
+def _later_height(point: RatFunc, places: list, d: int, m: int
+                  ) -> Optional[int]:
+    """The height of the point log_d(m) steps after point, or None while a
+    place is neither escaped nor pole-free for good."""
+    num, den, h = point.num, point.den, 0
+    for b, w, bar, inert in places:
+        if b is None:  # infinity comes last; den is now a unit iff it was
+            if den.degree > 0 or not num:  # a product of base powers
+                return None
+            u = num.degree - point.den.degree
+        else:
+            u, den = _split(den, b)
+            if not u and not inert and num.gcd(b).degree > 0:
+                return None
+        if u > 0 or not inert:
+            if u <= bar:
+                return None
+            h += (1 if b is None else b.degree) * max(
+                0, u * m - w * ((m - 1) // (d - 1)))
+    return h
+
+
+def _split(a: FFPoly, b: FFPoly) -> Tuple[int, FFPoly]:
+    """(e, a / b^e), e maximal; % first: no dense quotient of a sparse a."""
+    e = 0
+    while a.degree >= b.degree and not a % b:
+        a, e = a.divmod(b)[0], e + 1
+    return e, a
+
+
+def _coprime_base(polys: List[FFPoly]) -> List[FFPoly]:
+    """Pairwise coprime factors of degree >= 1 that give each of polys up to
+    a constant: factor refinement (Bach-Driscoll-Shallit 1993)."""
+    base: List[FFPoly] = []
+    while polys:
+        a = polys.pop()
+        b = next((b for b in base if a.gcd(b).degree > 0), None)
+        if b is not None:
+            base.remove(b)
+            g = a.gcd(b)
+            polys += [g, a.divmod(g)[0], b.divmod(g)[0]]
+        elif a.degree > 0:
+            base.append(a)
+    return base
 
 
 def rationalize(est: HeightEstimate, denominator_bound: int
@@ -209,8 +288,8 @@ def derive_pruning(f: DynPoly, alpha: RatFunc, g: DynPoly, beta: RatFunc,
     d, e = f.degree, g.degree
     bf = height_gap_constant(f).B
     bg = height_gap_constant(g).B
-    end_a, end_b = ends or (orbit_element(f, alpha, cap_m),
-                            orbit_element(g, beta, cap_n))
-    u1 = Fraction(end_a.height(), d ** cap_m)
-    u2 = Fraction(end_b.height(), e ** cap_n)
+    h1, h2 = (end.height() for end in ends) if ends else (
+        orbit_height(f, alpha, cap_m), orbit_height(g, beta, cap_n))
+    u1 = Fraction(h1, d ** cap_m)
+    u2 = Fraction(h2, e ** cap_n)
     return PruningData(u1, u2, Fraction(2 * (bf + bg) + 1))

@@ -361,6 +361,7 @@ class _Parser:
             return twisted_pow(v, n, self.budget)
         if n == 0:
             return _Bivar(self.ctx.ring, {(0, 0): self.ctx.ring.one()})
+        self.budget.check(n * max(map(sum, v.terms), default=0))
         return power(v, n, lambda a, b: a.mul(b, self.budget))
 
 

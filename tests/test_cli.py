@@ -243,6 +243,25 @@ def test_heights_with_a_huge_denominator_bound(tmp_path, capsys):
     assert "rational: 1\n" in out
 
 
+@pytest.mark.parametrize("text,value,iterations", [
+    ("field = GF(3); f = x^2 + t; alpha = t + 1\n"
+     "targetError = 1/1099511627776\n", "1", 41),
+    ("field = GF(5); f = x^3 + 1/(t^2 + 1); alpha = (t + 2)/(t^2 + 3)\n"
+     "targetError = 1/1099511627776\n", "8/3", 27),
+    ("field = GF(3); f = (x^2 + x + t)^25; alpha = t\n", "1", 3),
+], ids=["gf3-n41", "gf5-n27", "power-25"])
+def test_deep_heights_runs_end(tmp_path, capsys, text, value, iterations):
+    """f^N(alpha) is far too large to form in each of these runs; its height
+    comes from the pole orders once every place has escaped."""
+    sc = write(tmp_path, "h.txt", text + "task = heights\n")
+    rc, out, err = run_cli(capsys, "--scenario", sc, "--format", "json")
+    assert rc == EXIT_OK, err
+    (run,) = json.loads(out)["runs"]
+    assert run["height"]["value"] == value
+    assert run["height"]["iterations"] == iterations
+    assert run["rational"] == value
+
+
 def test_classify_report(tmp_path, capsys):
     sc = write(tmp_path, "c.txt", QUADRATIC.replace("task = intersect",
                                                     "task = classify"))

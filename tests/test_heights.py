@@ -7,16 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
-from fforbits.funcfield import RatFunc
+from fforbits.funcfield import FFPoly, RatFunc
 from fforbits.dynpoly import DynPoly, KRing, orbit_element
 from fforbits.heights import (HeightEstimate, canonical_height,
                               derive_pruning, height_gap_constant,
-                              multiplicative_dependence, pruned_candidates,
-                              rationalize)
+                              multiplicative_dependence, orbit_height,
+                              pruned_candidates, rationalize)
+from fforbits.parser import ParseContext, parse_map, parse_scalar
 
 
 GF2 = FieldSpec(2)
@@ -130,6 +131,89 @@ def test_canonical_height_error_respects_target():
     for k in (2, 6, 10):
         est = canonical_height(f, t, target_error=Fraction(1, 2 ** k))
         assert est.error_bound <= Fraction(1, 2 ** k)
+
+
+ORBIT_FIELDS = (GF2, GF3, FieldSpec(5), FieldSpec(2, 2, modulus=(1, 1, 1)),
+                FieldSpec(3, 2, modulus=(1, 0, 1)))
+
+
+@st.composite
+def orbit_height_cases(draw):
+    """(f, gamma, n) over GF(2/3/4/5/9): rational coefficients, zero points
+    and zero coefficients, and a shared factor that can put zeros of c_d
+    and poles of other coefficients at the poles of gamma."""
+    spec = draw(st.sampled_from(ORBIT_FIELDS))
+    elem = st.lists(st.integers(0, spec.p - 1), min_size=spec.r,
+                    max_size=spec.r).map(spec.elem)
+
+    def poly(max_degree):
+        return FFPoly.make(spec, dict(enumerate(
+            draw(st.lists(elem, max_size=max_degree + 1)))))
+
+    shared = poly(2)
+
+    def ratfunc():
+        num, den = poly(3), poly(2) or FFPoly.one(spec)
+        for _ in range(draw(st.integers(0, 2))):
+            if shared.degree > 0:
+                num, den = (num * shared, den) if draw(st.booleans()) \
+                    else (num, den * shared)
+        return RatFunc.make(num, den)
+
+    d = draw(st.integers(2, 3))
+    terms = {i: ratfunc() for i in range(d)}
+    terms[d] = ratfunc()
+    assume(terms[d])
+    return (DynPoly.make(KRing(spec), terms), ratfunc(),
+            draw(st.integers(0, 5 if d == 2 else 3)))
+
+
+@given(orbit_height_cases())
+@settings(max_examples=300, deadline=None)
+def test_orbit_height_matches_the_walk(case):
+    f, gamma, n = case
+    assert orbit_height(f, gamma, n) == orbit_element(f, gamma, n).height()
+
+
+@pytest.mark.parametrize("p,f,alpha,heights", [
+    # at t, c_2 has a zero of order 4 and alpha a pole of order 3: c_2 x^2
+    # dominates f(alpha), as 2*3 > 4 + 1, but the pole order then falls to
+    # 2*3 - 4 = 2, so escape needs (2 - 1)*u > 4 too; without it n = 2
+    # reads 12
+    (3, "(t^4/(t^4 + 1))*x^2 + 1/t", "1/t^3", [3, 6, 13, 29]),
+    # den(f(alpha)) = t*(t + 3)^2 holds the factor t of the base element
+    # t*(t + 4) but not t + 4, so no one pole order serves that element;
+    # reading one anyway gives 38 at n = 4
+    (5, "((3*t^2 + 3*t + 3)/(4*t^2 + t))*x^2 + x + 3*t + 4",
+     "(2*t + 3)/(2*t + 1)", [1, 4, 10, 22, 46]),
+])
+def test_orbit_height_on_pinned_maps(p, f, alpha, heights):
+    ctx = ParseContext(FieldSpec(p))
+    f, alpha = parse_map(f, ctx), parse_scalar(alpha, ctx)
+    for n, h in enumerate(heights):
+        assert orbit_height(f, alpha, n) == h
+        assert orbit_element(f, alpha, n).height() == h
+
+
+def test_orbit_height_rejects_degree_one_and_negative_n():
+    t = RatFunc.t(GF2)
+    with pytest.raises(ValueError):
+        orbit_height(dyn(K2, {1: 1, 0: 1}), t, 3)
+    with pytest.raises(ValueError):
+        orbit_height(dyn(K2, {2: 1, 0: t}), t, -1)
+
+
+def test_canonical_height_walks_only_to_the_escape(monkeypatch):
+    """x^2 + t from t + 1 over GF(3) escapes at once: N = 41 evaluates
+    no point at all, and the value is exactly 1."""
+    calls = []
+    real = DynPoly.evaluate
+    monkeypatch.setattr(DynPoly, "evaluate",
+                        lambda self, x: calls.append(x) or real(self, x))
+    t = RatFunc.t(GF3)
+    est = canonical_height(dyn(K3, {2: 1, 0: t}), t + RatFunc.one(GF3),
+                           Fraction(1, 2 ** 40))
+    assert (est.value, est.iterations, calls) == (1, 41, [])
 
 
 def test_estimate_interval():

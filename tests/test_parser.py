@@ -170,7 +170,7 @@ def test_context_without_budget_gives_each_parse_a_default(monkeypatch):
     for _ in range(3):
         parse_map(SQUARE, ctx)
     with pytest.raises(DegreeBudgetExceeded):
-        parse_map("(x^2 + x + t)^4", ctx)
+        parse_map("(x^2 + x + t)^5", ctx)
 
 
 def test_context_budget_bounds_every_kind_of_power():
@@ -184,6 +184,18 @@ def test_context_budget_bounds_every_kind_of_power():
         parse_scalar("(t + 1)^11", tight)
     with pytest.raises(DegreeBudgetExceeded):
         parse_curve("(x1 + x2 + t)^2", GF3, budget=Budget(8))
+
+
+def test_powers_past_their_degree_are_refused_before_any_product():
+    """g^n has degree n*deg(g), for a map and for a curve alike: past the
+    budget it is refused before any work is spent, within it it is made."""
+    budget = Budget()
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_curve("(x1 + x2 + t)^2000000", GF3, budget=budget)
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_map("(x^2 + x + t)^600000", ParseContext(GF3, budget=budget))
+    assert budget.left == DEFAULT_DEGREE_BUDGET
+    assert parse_map("(x^2 + x + t)^25", CTX3).degree == 50
 
 
 def test_curve_vars_rejected_outside_curve_mode():
