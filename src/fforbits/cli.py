@@ -117,7 +117,7 @@ def run_scenario(sc: Scenario) -> dict:
         del report["caps"]  # no bounded search happens here
         f = _as_dynpoly(sc.f, "f")
         gap = height_gap_constant(f)
-        est = canonical_height(f, sc.alpha, sc.target_error)
+        est = canonical_height(f, sc.alpha, sc.target_error, gap)
         rat = rationalize(est, sc.denominator_bound)
         report["gapConstant"] = str(gap.B)
         report["height"] = {"value": str(est.value),

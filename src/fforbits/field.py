@@ -29,8 +29,9 @@ coefficients: with p they are ints reduced mod p, with p = 0 they are
 values that bring their own arithmetic (FieldElem, RatFunc, ExtElem) and
 have is_one() and inverse().  Over GF(p), sparse_mul multiplies dense
 operands as one product of two ints (Kronecker substitution), exact because
-no slot of that product can carry into the next (see sparse_mul); slots of
-1, 2, 4 or 8 bytes move between coefficients and ints as arrays.
+no slot of that product can carry into the next (see sparse_mul);
+pack_slots and unpack_slots move the slots, as arrays when 1, 2, 4 or 8
+bytes wide.
 """
 
 from __future__ import annotations
@@ -655,9 +656,36 @@ def dense_coeffs(terms: dict, n: int, zero) -> tuple:
 # most this many exponents per term
 _PACK_TERMS = 8
 _PACK_SPAN = 2
-# the array type code of each slot width sparse_mul moves natively
+# the array type code of each slot width pack_slots moves natively
 _SLOT_CODES = {array(c).itemsize: c for c in "QLIHB"}
 _BIG_ENDIAN = sys.byteorder == "big"
+
+
+def pack_slots(coeffs: list, w: int) -> int:
+    """Nonnegative ints below 256^w, lowest first, as one int with a w-byte
+    slot each: as one array when w is an array itemsize, else one
+    int.to_bytes at a time."""
+    code = _SLOT_CODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(w, "little")
+                                        for c in coeffs]), "little")
+    return int.from_bytes(_little(array(code, coeffs)), "little")
+
+
+def unpack_slots(x: int, w: int, n: int) -> Iterable:
+    """The n w-byte slots of an int x below 256^(w n), lowest first."""
+    raw = x.to_bytes(w * n, "little")
+    code = _SLOT_CODES.get(w)
+    if code is None:
+        return (int.from_bytes(raw[i:i + w], "little")
+                for i in range(0, len(raw), w))
+    return _little(array(code, raw))
+
+
+def _little(slots: array) -> array:
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots
 
 
 def sparse_add(a: dict, b: dict, p: int = 0) -> dict:
@@ -699,10 +727,10 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
     (p-1)^2 * min(len a, len b) never carry and each slot, reduced mod p,
     is one coefficient.
 
-    When w is an array itemsize (1, 2, 4 or 8 bytes) the slots are packed
-    and read as one little-endian array; any other w (3 bytes over GF(3)
-    from about 2^14 terms, 9 or more for p near 2^31) goes slot by slot
-    through int.from_bytes.  w is never rounded up to an itemsize: the
+    pack_slots and unpack_slots move the slots: as one little-endian array
+    when w is an array itemsize (1, 2, 4 or 8 bytes), any other w (3 bytes
+    over GF(3) from about 2^14 terms, 9 or more for p near 2^31) slot by
+    slot through int.from_bytes.  w is never rounded up to an itemsize: the
     ints grow with it and their product more than linearly.  Squaring 2^16
     terms over GF(3) (2-vCPU Xeon, Python 3.11) took 208-225 ms with 4-byte
     slots against 124-171 ms with 3, more than the array unpack saves
@@ -723,29 +751,16 @@ def sparse_mul(a: dict, b: dict, p: int = 0) -> dict:
         span_a, span_b = max(a) - lo_a, max(b) - lo_b
         if span_a <= _PACK_SPAN * len(a) and span_b <= _PACK_SPAN * len(b):
             w = ((p - 1) ** 2 * n).bit_length() + 7 >> 3
-            code = _SLOT_CODES.get(w)
 
             def pack(t, lo, span):
                 coeffs = [t.get(e, 0) for e in range(lo, lo + span + 1)]
-                if code is None:
-                    return int.from_bytes(b"".join([
-                        c.to_bytes(w, "little") for c in coeffs]), "little")
-                slots = array(code, coeffs)
-                if _BIG_ENDIAN:
-                    slots.byteswap()
-                return int.from_bytes(slots, "little")
+                return pack_slots(coeffs, w)
             x = pack(a, lo_a, span_a)
             x = x * x if a is b else x * pack(b, lo_b, span_b)
-            raw = x.to_bytes(w * (span_a + span_b + 1), "little")
-            if code is None:
-                slots = (int.from_bytes(raw[i:i + w], "little")
-                         for i in range(0, len(raw), w))
-            else:
-                slots = array(code, raw)
-                if _BIG_ENDIAN:
-                    slots.byteswap()
             lo = lo_a + lo_b
-            return {lo + i: v for i, s in enumerate(slots) if (v := s % p)}
+            return {lo + i: v for i, s in
+                    enumerate(unpack_slots(x, w, span_a + span_b + 1))
+                    if (v := s % p)}
     return sparse_lincomb(((a, b),), p)
 
 

@@ -76,10 +76,12 @@ def height_gap_constant(f: DynPoly) -> HeightGapConstant:
 
 
 def canonical_height(f: DynPoly, gamma: RatFunc,
-                     target_error: Fraction = DEFAULT_TARGET_ERROR
+                     target_error: Fraction = DEFAULT_TARGET_ERROR,
+                     gap: Optional[HeightGapConstant] = None
                      ) -> HeightEstimate:
     """Estimate lim h(f^n(gamma))/d^n with the smallest N whose guaranteed
     error B/(d^N (d-1)) meets target_error; orbit_height gives h(f^N(gamma)).
+    B is gap.B, height_gap_constant(f).B when gap is None.
 
     The bound telescopes: |h(f^{n+1} x)/d^{n+1} - h(f^n x)/d^n| <= B/d^{n+1},
     and the geometric tail from N sums to B/(d^N (d-1)).
@@ -87,7 +89,7 @@ def canonical_height(f: DynPoly, gamma: RatFunc,
     d = f.degree
     if d < 2:
         raise ValueError("needs degree >= 2")
-    b = height_gap_constant(f).B
+    b = (height_gap_constant(f) if gap is None else gap).B
     target = Fraction(target_error)
     n = 0
     if b:

@@ -152,14 +152,20 @@ class TwistedPoly(Frozen):
                 and point.spec == ring.spec:
             return self.lift_to(point.ring).evaluate(point)
         point = _scalar_in(ring, point)
-        nonzero = [(i, c) for i, c in enumerate(self.coeffs) if c]
-        if isinstance(ring, KRing) and point.is_poly() \
-                and all(c.is_poly() for _, c in nonzero):
-            spec, terms = ring.spec, point.num.terms
-            return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
-                [(c.num.terms, {e * spec.p ** i: a if spec.int_p
-                                else a.frobenius(i) for e, a in terms.items()})
-                 for i, c in nonzero], spec.int_p)))
+        if isinstance(ring, KRing) and point.is_poly():
+            # row i pairs c_i with N^(p^i); q = p^i runs across the rows
+            spec, terms, q, last, pairs = ring.spec, point.num.terms, 1, 0, []
+            for i, c in enumerate(self.coeffs):
+                if not (cs := c.num.terms):
+                    continue
+                if not c.is_poly():
+                    break
+                q, last = q * spec.p ** (i - last), i
+                pairs.append((cs, {e * q: a if spec.int_p else a.frobenius(i)
+                                   for e, a in terms.items()}))
+            else:
+                return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
+                    pairs, spec.int_p)))
         # points with a denominator D, and points of an extension, keep the
         # running sum: over the common denominator D^(p^d) term i would need
         # D^(p^d - p^i), a dense product of d - i Frobenius images
@@ -239,8 +245,10 @@ def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
                 lambda x, k: {e * p ** k: v for e, v in x.items()}, p)
     ring = a.ring
     scalars = [ring.from_int(v) for v in range(p)]
-    return TwistedPoly(ring, tuple(
-        scalars[acc.get(i, 0)] for i in range(max(acc) + 1)))
+    coeffs = [scalars[0]] * (max(acc) + 1)
+    for i, v in acc.items():
+        coeffs[i] = scalars[v]
+    return TwistedPoly(ring, tuple(coeffs))
 
 
 def _prime_int(c) -> int:

@@ -12,7 +12,7 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional
 
 from .errors import ValidationError
-from .field import FieldSpec, Frozen, binom_mod, sparse_lincomb
+from .field import FieldSpec, Frozen, binom_mod, pack_slots, unpack_slots
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DynPoly, LinearMap, conjugate, is_additive,
                       orbit_element, orbit_prefix, solve_affine_conjugacy,
@@ -144,11 +144,25 @@ def _witnesses_15_16(spec: FieldSpec) -> List[DynPoly]:
             _x_poly(spec, {p ** 3: 1, p ** 2: 1, 1: 1})]
 
 
-def _binomial_sum(spec: FieldSpec, fpts: list, m: int) -> RatFunc:
-    """sum_{i=1..m} C(m, i) fpts[i] over GF(p), for polynomial points."""
-    return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
-        [({0: b}, fpts[i].num.terms) for i in range(1, m + 1)
-         if (b := binom_mod(m, i, spec.p))], spec.p)))
+def _binomial_sums(spec: FieldSpec, fpts: list) -> List[RatFunc]:
+    """[sum_{i=1..m} C(m, i) fpts[i] for m = 0..len(fpts) - 1] over GF(p),
+    for points of F_p[t].  Each point is packed once into an int X_i with a
+    w-byte slot per exponent of the union of the points' exponents; sum m
+    is the int sum C(m, i) X_i, unpacked once.  Its slots add at most m
+    products below p^2, so w never carries, as in sparse_mul."""
+    p, mmax = spec.p, len(fpts) - 1
+    exps = sorted(set().union(*(pt.num.terms for pt in fpts[1:])))
+    w = ((p - 1) ** 2 * mmax).bit_length() + 7 >> 3
+    packed = [0] + [pack_slots([pt.num.terms.get(e, 0) for e in exps], w)
+                    for pt in fpts[1:]]
+    sums = [RatFunc.zero(spec)]
+    for m in range(1, mmax + 1):
+        x = sum([b * packed[i] for i in range(1, m + 1)
+                 if (b := binom_mod(m, i, p))])
+        sums.append(RatFunc.from_poly(FFPoly(spec, {
+            exps[s]: v for s, c in enumerate(unpack_slots(x, w, len(exps)))
+            if (v := c % p)})))
+    return sums
 
 
 def check_15_16(params: dict) -> CheckResult:
@@ -165,16 +179,19 @@ def check_15_16(params: dict) -> CheckResult:
         for f in _witnesses_15_16(spec):
             ft = f.evaluate(t)
             g = f + DynPoly.x(ring) + DynPoly.constant(ring, ft)
-            # left: the pointwise walk of g from 0; right: the f-orbit of t
-            # (in F_p[t], as f is monic additive) mixed by C(m, i) mod p in
-            # one linear combination; neither side is built from the other
+            # three sides, none built from another, so that a fault in one
+            # kernel cannot cancel against itself: the pointwise walk of g
+            # from 0 (sparse adds and Frobenius, no packing); the f-orbit of
+            # t (in F_p[t], as f is monic additive) mixed by C(m, i) mod p
+            # through packed ints; and (x + f)^m evaluated at t, shifted
+            # back, with each power taken afresh by twisted_pow
             gpts = orbit_prefix(g, ring.from_int(0), mmax)
             fpts = orbit_prefix(f, t, mmax)
             assert all(pt.is_poly() for pt in fpts), "f-orbit of t left F_p[t]"
-            # twisted route: (x + f)^m evaluated at t, shifted back
+            sums = _binomial_sums(spec, fpts)
             a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
             for m in range(1, mmax + 1):
-                rhs = _binomial_sum(spec, fpts, m)
+                rhs = sums[m]
                 if gpts[m] != rhs:
                     return _failed(cid, slug, params,
                                    f"p={p}, f={f}: binomial sum at m={m}",

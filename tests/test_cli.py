@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fforbits
-from fforbits import cli
+from fforbits import cli, heights
 from fforbits.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INVALID,
                           EXIT_OK, emit_report, main)
 from fforbits.dynpoly import Budget, DynPoly
@@ -231,6 +231,27 @@ def test_heights_report_schema(tmp_path, capsys):
     assert run["height"] == {"value": "1", "errorBound": "0", "iterations": 0}
     assert run["rational"] == "1"
     assert "caps" not in run
+
+
+def test_heights_computes_the_gap_constant_once(tmp_path, capsys,
+                                                monkeypatch):
+    """The run's gap constant both fills gapConstant and sets the number
+    of iterations, from one height_gap_constant call."""
+    real, calls = heights.height_gap_constant, []
+
+    def height_gap_constant(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(heights, "height_gap_constant", height_gap_constant)
+    monkeypatch.setattr(cli, "height_gap_constant", height_gap_constant)
+    sc = write(tmp_path, "h.txt",
+               "field = GF(3); f = x^2 + t; alpha = t + 1; task = heights")
+    rc, out, err = run_cli(capsys, "--scenario", sc, "--format", "json")
+    assert rc == EXIT_OK, err
+    (run,) = json.loads(out)["runs"]
+    assert run["gapConstant"] != "0" and run["height"]["iterations"] > 0
+    assert len(calls) == 1
 
 
 def test_heights_with_a_huge_denominator_bound(tmp_path, capsys):

@@ -238,6 +238,24 @@ def test_evaluate_gf9_tuples_with_zero_runs(nonzero):
         assert a.evaluate(point) == running_sum(a, point)
 
 
+@pytest.mark.parametrize("spec", [GF3, GF9], ids=str)
+@pytest.mark.parametrize("rows", [(2,), (1, 4), (3, 5, 9), (2, 3, 7)],
+                         ids=lambda idx: "-".join(map(str, idx)))
+def test_evaluate_runs_p_power_across_gaps(spec, rows):
+    """The one sum carries p^i from one nonzero row to the next: rows that
+    start above 0 and skip more than one index, multi-term polynomial
+    coefficients and points."""
+    ring = KRing(spec)
+    c = RatFunc.constant(spec, spec.gen() if spec.r > 1 else spec.one())
+    t, one = RatFunc.t(spec), RatFunc.one(spec)
+    coeffs = [ring.zero()] * (rows[-1] + 1)
+    for k, i in enumerate(rows):
+        coeffs[i] = c * t ** (k + 1) + t + one
+    a = TwistedPoly.make(ring, coeffs)
+    for point in (t + one, c * t ** 2 + t, t ** 3 - c * t + one):
+        assert a.evaluate(point) == running_sum(a, point)
+
+
 @pytest.mark.parametrize("spec", [GF2, GF3, GF5], ids=str)
 def test_prime_field_pow_matches_binary_power(spec):
     """The GF(p)[T] route against binary powering in K{T}, for exponents

@@ -11,8 +11,8 @@ import pytest
 from fforbits import verify
 from fforbits.dynpoly import orbit_prefix
 from fforbits.field import FieldSpec
-from fforbits.funcfield import KRing, RatFunc
-from fforbits.verify import (CHECKS, SUITE_ORDER, _binomial_sum,
+from fforbits.funcfield import FFPoly, KRing, RatFunc
+from fforbits.verify import (CHECKS, SUITE_ORDER, _binomial_sums,
                              _witnesses_15_16, run_example, verify_all)
 from fforbits.errors import ValidationError
 
@@ -74,9 +74,46 @@ def test_binomial_sum_matches_running_sum(p):
     ring, t = KRing(spec), RatFunc.t(spec)
     for f in _witnesses_15_16(spec):
         fpts = orbit_prefix(f, t, p ** 3)
+        sums = _binomial_sums(spec, fpts)
+        assert len(sums) == p ** 3 + 1 and not sums[0]
         for m in range(1, p ** 3 + 1):
-            assert _binomial_sum(spec, fpts, m) \
-                == running_binomial_sum(ring, fpts, m, p)
+            assert sums[m] == running_binomial_sum(ring, fpts, m, p)
+
+
+# (p, points): (p-1)^2 * points just under and at byte boundaries; the
+# width w holding it is 1, 2, 3 and 4 bytes, 3 off the array itemsizes
+_SUM_WIDTHS = [(3, 63, 1), (3, 64, 2), (5, 15, 1), (5, 16, 2),
+               (17, 255, 2), (17, 256, 3), (17, 300, 3), (257, 255, 3),
+               (257, 256, 4)]
+
+
+@pytest.mark.parametrize("p,count,w", _SUM_WIDTHS,
+                         ids=[f"GF{p}-{n}" for p, n, _ in _SUM_WIDTHS])
+def test_binomial_sums_fill_their_slots(p, count, w):
+    """Points whose every coefficient is p - 1, on exponent sets that
+    slide and skip around a constant term they all share; each packed sum
+    against the running sum in F_p[t].  Where (p-1)^2 * count is just
+    under 256^w, the shared slot of some sum needs all w bytes, so w - 1
+    would carry."""
+    assert ((p - 1) ** 2 * count).bit_length() + 7 >> 3 == w
+    spec = FieldSpec(p)
+    fpts = [RatFunc.zero(spec)] + [RatFunc.from_poly(FFPoly(spec, {
+        e: p - 1 for e in (0, i, i + 1, 2 * i + 5, 3 * (i // 4))}))
+        for i in range(1, count + 1)]
+    sums = _binomial_sums(spec, fpts)
+    peak = 0
+    for m in range(1, count + 1):
+        raw: dict = {}
+        for i in range(1, m + 1):
+            b = math.comb(m, i) % p
+            for e, c in fpts[i].num.terms.items():
+                raw[e] = raw.get(e, 0) + b * c
+        peak = max(peak, *raw.values())
+        assert sums[m].num.terms == {e: v for e, s in raw.items()
+                                     if (v := s % p)}
+    assert peak < 256 ** w
+    if (p - 1) ** 2 * (count + 1) >= 256 ** w:
+        assert peak >= 256 ** (w - 1)
 
 
 def test_check_15_16_fails_on_a_wrong_orbit_point(monkeypatch):
