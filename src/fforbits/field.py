@@ -5,7 +5,7 @@ and the maps of the other modules.
 
 A FieldSpec pins down the field: the characteristic p (a prime that fits in
 a machine word), the extension degree r, and for r > 1 a monic degree-r
-modulus over GF(p) in the generator symbol (default "w").  Elements are
+modulus over GF(p) in the generator w.  Elements are
 coefficient vectors of length r with entries reduced to least non-negative
 residues, so equal elements are structurally equal.
 
@@ -151,11 +151,10 @@ class FieldSpec(Frozen):
     int_p, the FieldElem one otherwise.
     """
 
-    __slots__ = ("p", "r", "modulus", "generator", "int_p", "unit", "_hash",
-                 "_mod", "_tab")
+    __slots__ = ("p", "r", "modulus", "int_p", "unit", "_hash", "_mod",
+                 "_tab")
 
-    def __init__(self, p: int, r: int = 1, modulus: Sequence[int] = (),
-                 generator: str = "w"):
+    def __init__(self, p: int, r: int = 1, modulus: Sequence[int] = ()):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if r < 1:
@@ -170,11 +169,10 @@ class FieldSpec(Frozen):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "int_p", p if r == 1 else 0)
         object.__setattr__(self, "_hash", hash((p, r, modulus)))
         object.__setattr__(self, "_mod", sparse_terms(modulus))
-        key = (p, r, modulus, generator)
+        key = (p, r, modulus)
         if key not in _TABLES:
             _TABLES[key] = (_Tables(self) if 1 < r and p ** r <= _TABLE_ORDER
                             and _irreducible(self._mod, p) else None)
@@ -182,7 +180,7 @@ class FieldSpec(Frozen):
         object.__setattr__(self, "unit", 1 if r == 1 else self.elem(1))
 
     def __reduce__(self):
-        return FieldSpec, (self.p, self.r, self.modulus, self.generator)
+        return FieldSpec, (self.p, self.r, self.modulus)
 
     @property
     def order(self) -> int:
@@ -237,7 +235,7 @@ class FieldSpec(Frozen):
         return f"GF({self.p}^{self.r}; mod={self._modulus_str()})"
 
     def _modulus_str(self) -> str:
-        return format_terms(dict(enumerate(self.modulus)), self.generator,
+        return format_terms(dict(enumerate(self.modulus)), "w",
                             descending=True).replace(" + ", "+")
 
     def __repr__(self) -> str:
@@ -481,7 +479,7 @@ class FieldElem(Frozen):
     def __str__(self) -> str:
         if self.spec.r == 1:
             return str(self.coeffs[0])
-        return format_terms(dict(enumerate(self.coeffs)), self.spec.generator,
+        return format_terms(dict(enumerate(self.coeffs)), "w",
                             descending=True)
 
     def __repr__(self) -> str:
@@ -490,7 +488,7 @@ class FieldElem(Frozen):
 
 # GF(p^r) with r > 1 and at most this many elements computes by tables
 _TABLE_ORDER = 2 ** 10
-# (p, r, modulus, generator) -> the field's _Tables, or None without tables
+# (p, r, modulus) -> the field's _Tables, or None without tables
 _TABLES: dict = {}
 
 

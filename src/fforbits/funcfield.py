@@ -482,11 +482,9 @@ class ExtRing(Frozen):
     Doubles as the coefficient-ring handle used by DynPoly and TwistedPoly.
     """
 
-    __slots__ = ("spec", "modulus", "generator", "_hash", "_mod", "_zero",
-                 "_frob_basis")
+    __slots__ = ("spec", "modulus", "_hash", "_mod", "_zero", "_frob_basis")
 
-    def __init__(self, spec: FieldSpec, modulus: Sequence[RatFunc],
-                 generator: str = "y"):
+    def __init__(self, spec: FieldSpec, modulus: Sequence[RatFunc]):
         modulus = tuple(modulus)
         if len(modulus) < 2:
             raise ValueError("extension modulus must have degree >= 1")
@@ -494,7 +492,6 @@ class ExtRing(Frozen):
             raise ValueError("extension modulus must be monic")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hash", hash((spec, modulus)))
         object.__setattr__(self, "_mod", sparse_terms(modulus))
         # immutable, so every element pads its vector with this one zero
@@ -553,7 +550,7 @@ class ExtRing(Frozen):
         return self._hash
 
     def modulus_str(self) -> str:
-        return format_terms(dict(enumerate(self.modulus)), self.generator,
+        return format_terms(dict(enumerate(self.modulus)), "y",
                             descending=True)
 
     def __repr__(self) -> str:
@@ -661,7 +658,7 @@ class ExtElem(Frozen):
         return self.in_K() and self.coeffs[0].in_prime_field()
 
     def __str__(self) -> str:
-        return format_terms(dict(enumerate(self.coeffs)), self.ring.generator,
+        return format_terms(dict(enumerate(self.coeffs)), "y",
                             descending=True)
 
     def __repr__(self) -> str:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .dynpoly import Budget, DynPoly, walk
 from .errors import RingMismatch
-from .field import Frozen
+from .field import Frozen, sparse_add, sparse_neg
 from .heights import PruningData
 
 
@@ -83,7 +83,10 @@ def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
 
 class PlaneCurve(Frozen):
     """A nonzero polynomial F(x1, x2) over K, tested for vanishing at
-    orbit points of the product map (x1, x2) -> (f(x1), g(x2))."""
+    orbit points of the product map (x1, x2) -> (f(x1), g(x2)).  terms maps
+    (e1, e2) to a nonzero coefficient; the sums and products the parser
+    builds a curve from may pass through the zero polynomial, which only
+    make refuses."""
 
     __slots__ = ("ring", "terms")
 
@@ -98,8 +101,27 @@ class PlaneCurve(Frozen):
         return cls(ring, clean)
 
     @classmethod
+    def constant(cls, ring, c) -> "PlaneCurve":
+        return cls(ring, {(0, 0): c} if c else {})
+
+    @classmethod
     def diagonal(cls, ring) -> "PlaneCurve":
         return cls.make(ring, {(1, 0): ring.one(), (0, 1): -ring.one()})
+
+    def __add__(self, other: "PlaneCurve") -> "PlaneCurve":
+        return PlaneCurve(self.ring, sparse_add(self.terms, other.terms))
+
+    def __neg__(self) -> "PlaneCurve":
+        return PlaneCurve(self.ring, sparse_neg(self.terms))
+
+    def __mul__(self, other: "PlaneCurve") -> "PlaneCurve":
+        terms: dict = {}
+        for (a1, a2), c in self.terms.items():
+            for (b1, b2), d in other.terms.items():
+                e = (a1 + b1, a2 + b2)
+                s = terms.get(e)
+                terms[e] = c * d if s is None else s + c * d
+        return PlaneCurve(self.ring, {e: c for e, c in terms.items() if c})
 
     def evaluate(self, v1, v2):
         acc = None

@@ -11,9 +11,13 @@ Every value type in the package prints through str() into this grammar,
 and parse(print(v)) == v holds for all of them; that round trip is what
 pins down the canonical form.
 
-Powers and curve products are expanded as they are parsed and draw on the
-context's dynpoly.Budget; parse_scenario builds one per file, from its
-limits after any overrides, before it parses any expression.
+Values are built as they are parsed, in their own types: a scalar meeting
+a map, a twisted polynomial or a curve becomes its constant term, and a
+curve is an orbits.PlaneCurve from the start, added, negated and multiplied
+by its own operators.  Powers and curve products are expanded as they are
+parsed and draw on the context's dynpoly.Budget; parse_scenario builds one
+per file, from its limits after any overrides, before it parses any
+expression.
 """
 
 from fractions import Fraction
@@ -113,48 +117,11 @@ class ParseContext:
     def scalar_w(self, pos: int):
         if self.spec.r == 1:
             raise UndefinedSymbol(
-                f"'{self.spec.generator}' is undefined over GF({self.spec.p})",
-                pos)
+                f"'w' is undefined over GF({self.spec.p})", pos)
         c = RatFunc.constant(self.spec, self.spec.gen())
         if self.ext is not None:
             return self.ext.from_K(c)
         return c
-
-
-class _Bivar:
-    """Polynomial in x1, x2 built while parsing a curve equation."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms: dict):
-        self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def variable(cls, ring, index: int) -> "_Bivar":
-        e = (1, 0) if index == 1 else (0, 1)
-        return cls(ring, {e: ring.one()})
-
-    def add(self, other: "_Bivar") -> "_Bivar":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return _Bivar(self.ring, terms)
-
-    def neg(self) -> "_Bivar":
-        return _Bivar(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def mul(self, other: "_Bivar", budget: Budget) -> "_Bivar":
-        budget.charge(max(1, len(self.terms)) * max(1, len(other.terms)))
-        terms = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in other.terms.items():
-                e = (a1 + b1, a2 + b2)
-                s = terms.get(e)
-                v = c * d
-                terms[e] = v if s is None else s + v
-        return _Bivar(self.ring, terms)
 
 
 def _kind(v) -> str:
@@ -165,6 +132,10 @@ def _kind(v) -> str:
     if isinstance(v, TwistedPoly):
         return "tw"
     return "curve"
+
+
+# the type a scalar is lifted to, to meet a value of each other kind
+_LIFT = {"dyn": DynPoly, "tw": TwistedPoly, "curve": PlaneCurve}
 
 
 def _mixed(pos: int) -> MixedVariables:
@@ -211,7 +182,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "-":
                 self.next()
-                value = self.negate(self.term(), tok.pos)
+                value = -self.term()
             else:
                 value = self.term()
             while True:
@@ -220,7 +191,7 @@ class _Parser:
                     self.next()
                     rhs = self.term()
                     if tok.text == "-":
-                        rhs = self.negate(rhs, tok.pos)
+                        rhs = -rhs
                     value = self.combine_add(value, rhs, tok.pos)
                 else:
                     return value
@@ -273,8 +244,7 @@ class _Parser:
         ctx, name = self.ctx, tok.text
         if name == "t":
             return ctx.scalar_t()
-        if name == ctx.spec.generator and name not in ("t", "y", "x", "T",
-                                                       "x1", "x2"):
+        if name == "w":
             return ctx.scalar_w(tok.pos)
         if name == "y":
             if ctx.mode == "modulus":
@@ -284,10 +254,9 @@ class _Parser:
             raise UndefinedSymbol("'y' needs an extension (ext = ...)",
                                   tok.pos)
         if ctx.mode == "curve":
-            if name == "x1":
-                return _Bivar.variable(ctx.ring, 1)
-            if name == "x2":
-                return _Bivar.variable(ctx.ring, 2)
+            if name in ("x1", "x2"):
+                e = (1, 0) if name == "x1" else (0, 1)
+                return PlaneCurve(ctx.ring, {e: ctx.ring.one()})
             if name in ("x", "T"):
                 raise UndefinedSymbol(
                     f"curve equations use x1 and x2, not {name!r}", tok.pos)
@@ -300,45 +269,25 @@ class _Parser:
 
     # ---- combination rules ----
 
-    def negate(self, v, pos: int):
-        k = _kind(v)
-        if k == "curve":
-            return v.neg()
-        return -v
-
     def lift_pair(self, a, b, pos: int):
         """Bring two values to a common kind, preserving order."""
         ka, kb = _kind(a), _kind(b)
         if ka == kb:
             return a, b, ka
-        if "curve" in (ka, kb):
-            if ka == "scalar":
-                return _Bivar(self.ctx.ring, {(0, 0): a}), b, "curve"
-            if kb == "scalar":
-                return a, _Bivar(self.ctx.ring, {(0, 0): b}), "curve"
-            raise _mixed(pos)
-        if {ka, kb} == {"dyn", "tw"}:
-            raise _mixed(pos)
         if ka == "scalar":
-            if kb == "dyn":
-                return DynPoly.constant(self.ctx.ring, a), b, "dyn"
-            return TwistedPoly.constant(self.ctx.ring, a), b, "tw"
+            return _LIFT[kb].constant(self.ctx.ring, a), b, kb
         if kb == "scalar":
-            if ka == "dyn":
-                return a, DynPoly.constant(self.ctx.ring, b), "dyn"
-            return a, TwistedPoly.constant(self.ctx.ring, b), "tw"
+            return a, _LIFT[ka].constant(self.ctx.ring, b), ka
         raise _mixed(pos)
 
     def combine_add(self, a, b, pos: int):
-        a, b, k = self.lift_pair(a, b, pos)
-        if k == "curve":
-            return a.add(b)
+        a, b, _ = self.lift_pair(a, b, pos)
         return a + b
 
     def combine_mul(self, a, b, pos: int):
         a, b, k = self.lift_pair(a, b, pos)
         if k == "curve":
-            return a.mul(b, self.budget)
+            self.budget.charge(max(1, len(a.terms)) * max(1, len(b.terms)))
         return a * b
 
     def combine_div(self, a, b, pos: int):
@@ -360,9 +309,9 @@ class _Parser:
         if k == "tw":
             return twisted_pow(v, n, self.budget)
         if n == 0:
-            return _Bivar(self.ctx.ring, {(0, 0): self.ctx.ring.one()})
+            return PlaneCurve.constant(self.ctx.ring, self.ctx.ring.one())
         self.budget.check(n * max(map(sum, v.terms), default=0))
-        return power(v, n, lambda a, b: a.mul(b, self.budget))
+        return power(v, n, lambda a, b: self.combine_mul(a, b, pos))
 
 
 def parse_expr(text: str, ctx: ParseContext):
@@ -393,12 +342,12 @@ def parse_curve(text: str, spec: FieldSpec, ext: Optional[ExtRing] = None,
     ctx = ParseContext(spec, ext, mode="curve", budget=budget)
     v = parse_expr(text, ctx)
     if _kind(v) == "scalar":
-        v = _Bivar(ctx.ring, {(0, 0): v})
+        v = PlaneCurve.constant(ctx.ring, v)
     if _kind(v) != "curve":
         raise ParseError("a curve equation must use x1/x2 only", 0)
     if not v.terms:
         raise ParseError("the zero polynomial does not define a curve", 0)
-    return PlaneCurve.make(ctx.ring, v.terms)
+    return v
 
 
 def parse_modulus(text: str, spec: FieldSpec,

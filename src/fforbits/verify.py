@@ -5,6 +5,11 @@ machinery and compares exact values.  Checks carry opaque ids (the ones
 scenario files use with `example = ...`) plus a slug describing what the
 check actually exercises.  A failing check reports the first mismatching
 identity with both sides printed in canonical form.
+
+A check body takes the params dict and returns the detail of a pass; it
+raises _Broken at the first identity that fails and _Skip when nothing is
+left to check within the bounds.  @check registers the body in CHECKS, in
+definition order, and turns each outcome into a CheckResult.
 """
 
 import random
@@ -31,17 +36,36 @@ class CheckResult(Frozen):
                 "params": {k: self.params[k] for k in sorted(self.params)}}
 
 
-def _passed(cid, slug, params, detail):
-    return CheckResult(cid, slug, "PASS", detail, params)
+class _Broken(Exception):
+    """The first identity that failed: (what, lhs, rhs)."""
 
 
-def _failed(cid, slug, params, what, lhs, rhs):
-    return CheckResult(cid, slug, "FAIL",
-                       f"{what}: lhs = {lhs} ; rhs = {rhs}", params)
+class _Skip(Exception):
+    """Why nothing is left to check within the bounds."""
 
 
-def _skipped(cid, slug, params, why):
-    return CheckResult(cid, slug, "SKIPPED", why, params)
+# id -> params -> CheckResult; --verify-all runs them in this order, the
+# order of the definitions below
+CHECKS: Dict[str, Callable[[dict], CheckResult]] = {}
+
+
+def check(cid: str, slug: str):
+    """Register a check body under cid; see the module docstring."""
+    def register(body):
+        def run(params: dict) -> CheckResult:
+            try:
+                return CheckResult(cid, slug, "PASS", body(params), params)
+            except _Broken as broken:
+                what, lhs, rhs = broken.args
+                return CheckResult(cid, slug, "FAIL",
+                                   f"{what}: lhs = {lhs} ; rhs = {rhs}",
+                                   params)
+            except _Skip as skip:
+                return CheckResult(cid, slug, "SKIPPED", skip.args[0], params)
+
+        CHECKS[cid] = run
+        return run
+    return register
 
 
 def _primes(params: dict, defaults) -> list:
@@ -71,10 +95,28 @@ def _x_poly(spec: FieldSpec, terms: dict) -> DynPoly:
                                else c for e, c in terms.items()})
 
 
+def _twists(pairs: list):
+    """The setup checks 11-12 and 2.5 share.  For each pair (p, r), a key
+    of _EXT_FIELDS: over GF(p^r), with lam = w, (p, r, ring, t, lam,
+    T^r + lam, f = x^p, g), where g is the map of T^r + lam conjugated by
+    the shift by -lam*t, so g fixes -lam*t.  Skips when pairs is empty."""
+    if not pairs:
+        raise _Skip("no (p, r) pair within bounds")
+    for p, r in pairs:
+        spec = _ext_field(p, r)
+        ring = KRing(spec)
+        lam = RatFunc.constant(spec, spec.gen())
+        t = RatFunc.t(spec)
+        gt = TwistedPoly.make(ring, [lam] + [ring.from_int(0)] * (r - 1)
+                              + [ring.from_int(1)])
+        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, -(lam * t)))
+        yield p, r, ring, t, lam, gt, _x_poly(spec, {p: 1}), g
+
+
 # ---- the checks ----
 
-def check_101(params: dict) -> CheckResult:
-    cid, slug = "101", "orbit-of-zero-closed-form"
+@check("101", "orbit-of-zero-closed-form")
+def check_101(params: dict) -> str:
     mmax = params.get("nmax", 12)
     spec = FieldSpec(2)
     t = RatFunc.t(spec)
@@ -83,14 +125,12 @@ def check_101(params: dict) -> CheckResult:
     for m in range(1, mmax + 1):
         rhs = _t_powers(spec, (2 ** m, 1))
         if points[m] != rhs:
-            return _failed(cid, slug, params, f"iterate {m} of 0",
-                           points[m], rhs)
-    return _passed(cid, slug, params,
-                   f"orbit of 0 matches t^(2^m) + t for 1 <= m <= {mmax}")
+            raise _Broken(f"iterate {m} of 0", points[m], rhs)
+    return f"orbit of 0 matches t^(2^m) + t for 1 <= m <= {mmax}"
 
 
-def check_102(params: dict) -> CheckResult:
-    cid, slug = "102", "orbit-of-t-closed-form"
+@check("102", "orbit-of-t-closed-form")
+def check_102(params: dict) -> str:
     kmax = params.get("nmax", 4)
     spec = FieldSpec(2)
     f = _x_poly(spec, {2: 1, 1: 1})
@@ -99,17 +139,16 @@ def check_102(params: dict) -> CheckResult:
         lhs = orbit_element(f, t, 2 ** k)
         rhs = _t_powers(spec, (2 ** (2 ** k), 1))
         if lhs != rhs:
-            return _failed(cid, slug, params, f"iterate 2^{k} of t", lhs, rhs)
-    return _passed(cid, slug, params,
-                   f"sparse doubling orbit matches for k <= {kmax}")
+            raise _Broken(f"iterate 2^{k} of t", lhs, rhs)
+    return f"sparse doubling orbit matches for k <= {kmax}"
 
 
-def check_3_4(params: dict) -> CheckResult:
-    cid, slug = "3-4", "degree-one-orbit-closed-forms"
+@check("3-4", "degree-one-orbit-closed-forms")
+def check_3_4(params: dict) -> str:
     nmax = params.get("nmax", 10)
     ps = _primes(params, (2, 3))
     if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
+        raise _Skip("no prime within pmax")
     for p in ps:
         spec = FieldSpec(p)
         ring = KRing(spec)
@@ -122,20 +161,16 @@ def check_3_4(params: dict) -> CheckResult:
         for n in range(nmax + 1):
             rhs = t ** n - eps
             if pts[n] != rhs:
-                return _failed(cid, slug, params,
-                               f"p={p}: affine iterate {n}", pts[n], rhs)
+                raise _Broken(f"p={p}: affine iterate {n}", pts[n], rhs)
         g = conjugate(_x_poly(spec, {2: 1}), LinearMap.shift(ring, -eps))
         beta = t - eps
         pts = orbit_prefix(g, beta, nmax)
         for n in range(nmax + 1):
             rhs = t ** (2 ** n) - eps
             if pts[n] != rhs:
-                return _failed(cid, slug, params,
-                               f"p={p}: squaring-conjugate iterate {n}",
-                               pts[n], rhs)
-    return _passed(cid, slug, params,
-                   f"both degree-one closed forms hold for n <= {nmax}, "
-                   f"p in {ps}")
+                raise _Broken(f"p={p}: squaring-conjugate iterate {n}",
+                              pts[n], rhs)
+    return f"both degree-one closed forms hold for n <= {nmax}, p in {ps}"
 
 
 def _witnesses_15_16(spec: FieldSpec) -> List[DynPoly]:
@@ -165,11 +200,11 @@ def _binomial_sums(spec: FieldSpec, fpts: list) -> List[RatFunc]:
     return sums
 
 
-def check_15_16(params: dict) -> CheckResult:
-    cid, slug = "15-16", "shift-conjugate-binomial-orbit"
+@check("15-16", "shift-conjugate-binomial-orbit")
+def check_15_16(params: dict) -> str:
     ps = _primes(params, (2, 3, 5))
     if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
+        raise _Skip("no prime within pmax")
     kmax = 3
     for p in ps:
         spec = FieldSpec(p)
@@ -191,45 +226,30 @@ def check_15_16(params: dict) -> CheckResult:
             sums = _binomial_sums(spec, fpts)
             a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
             for m in range(1, mmax + 1):
-                rhs = sums[m]
-                if gpts[m] != rhs:
-                    return _failed(cid, slug, params,
-                                   f"p={p}, f={f}: binomial sum at m={m}",
-                                   gpts[m], rhs)
+                if gpts[m] != sums[m]:
+                    raise _Broken(f"p={p}, f={f}: binomial sum at m={m}",
+                                  gpts[m], sums[m])
                 tw = twisted_pow(a1, m).evaluate(t) - t
                 if tw != gpts[m]:
-                    return _failed(cid, slug, params,
-                                   f"p={p}, f={f}: twisted power at m={m}",
-                                   tw, gpts[m])
+                    raise _Broken(f"p={p}, f={f}: twisted power at m={m}",
+                                  tw, gpts[m])
             for k in range(kmax + 1):
                 if p ** k > mmax:
                     break
                 if gpts[p ** k] != fpts[p ** k]:
-                    return _failed(cid, slug, params,
-                                   f"p={p}, f={f}: prime-power index k={k}",
-                                   gpts[p ** k], fpts[p ** k])
-    return _passed(cid, slug, params,
-                   f"binomial orbit identities hold for p in {ps}")
+                    raise _Broken(f"p={p}, f={f}: prime-power index k={k}",
+                                  gpts[p ** k], fpts[p ** k])
+    return f"binomial orbit identities hold for p in {ps}"
 
 
-def check_11_12(params: dict) -> CheckResult:
-    cid, slug = "11-12", "frobenius-twist-binomial-orbit"
-    pairs = [(2, 2), (3, 2)]
+@check("11-12", "frobenius-twist-binomial-orbit")
+def check_11_12(params: dict) -> str:
     ps = _primes(params, (2, 3))
-    pairs = [(p, r) for (p, r) in pairs if p in ps]
-    if "r" in params:
-        pairs = [(p, r) for (p, r) in pairs if r == params["r"]]
-    if not pairs:
-        return _skipped(cid, slug, params, "no (p, r) pair within bounds")
+    pairs = [(p, r) for p, r in _EXT_FIELDS
+             if p in ps and params.get("r", r) == r]
     mmax = params.get("nmax", 10)
     kmax = 1
-    for p, r in pairs:
-        spec = _ext_field(p, r)
-        ring = KRing(spec)
-        lam = RatFunc.constant(spec, spec.gen())
-        t = RatFunc.t(spec)
-        gt = TwistedPoly.make(ring, [lam] + [ring.from_int(0)] * (r - 1)
-                              + [ring.from_int(1)])
+    for p, r, ring, t, lam, gt, f, g in _twists(pairs):
         for m in range(1, mmax + 1):
             lhs = twisted_pow(gt, m)
             coeffs = [ring.from_int(0)] * (r * m + 1)
@@ -239,11 +259,8 @@ def check_11_12(params: dict) -> CheckResult:
                     coeffs[r * (m - i)] = lam ** i * ring.from_int(b)
             rhs = TwistedPoly.make(ring, coeffs)
             if lhs != rhs:
-                return _failed(cid, slug, params,
-                               f"(p,r)=({p},{r}): twisted binomial at m={m}",
-                               lhs, rhs)
-        f = _x_poly(spec, {p: 1})
-        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, -(lam * t)))
+                raise _Broken(f"(p,r)=({p},{r}): twisted binomial at m={m}",
+                              lhs, rhs)
         start = (ring.from_int(1) - lam) * t
         for k in range(kmax + 1):
             n = p ** (r * k)
@@ -251,21 +268,20 @@ def check_11_12(params: dict) -> CheckResult:
             rhs = t ** (p ** (r * n))
             via_f = orbit_element(f, t, r * n)
             if lhs != rhs:
-                return _failed(cid, slug, params,
-                               f"(p,r)=({p},{r}): orbit identity at k={k}",
-                               lhs, rhs)
+                raise _Broken(f"(p,r)=({p},{r}): orbit identity at k={k}",
+                              lhs, rhs)
             if via_f != rhs:
-                return _failed(cid, slug, params,
-                               f"(p,r)=({p},{r}): power-map orbit at k={k}",
-                               via_f, rhs)
-    return _passed(cid, slug, params,
-                   f"twisted binomial (m <= {mmax}) and orbit identities "
-                   f"hold for {pairs}")
+                raise _Broken(f"(p,r)=({p},{r}): power-map orbit at k={k}",
+                              via_f, rhs)
+    return (f"twisted binomial (m <= {mmax}) and orbit identities hold for "
+            f"{pairs}")
 
 
-def check_exg1(params: dict) -> CheckResult:
-    cid, slug = "exg1", "commuting-pair-conjugate-orbit"
+@check("exg1", "commuting-pair-conjugate-orbit")
+def check_exg1(params: dict) -> str:
     ps = _primes(params, (2, 3))
+    if not ps:
+        raise _Skip("no prime within pmax")
 
     def run(spec, f, h, m, alpha, delta, kmax, label):
         ring = f.ring
@@ -277,8 +293,7 @@ def check_exg1(params: dict) -> CheckResult:
             rhs = orbit_element(f, alpha, m * n) \
                 + orbit_element(h, alpha, n) + delta
             if lhs != rhs:
-                return (f"{label}: conjugate orbit at k={k}", lhs, rhs)
-        return None
+                raise _Broken(f"{label}: conjugate orbit at k={k}", lhs, rhs)
 
     # first specialization: h = x, m = 1, shift by -t
     for p in ps:
@@ -286,9 +301,7 @@ def check_exg1(params: dict) -> CheckResult:
         ring = KRing(spec)
         t = RatFunc.t(spec)
         f = _x_poly(spec, {p: 1, 1: 1})
-        bad = run(spec, f, DynPoly.x(ring), 1, t, -t, 3, f"p={p}, h=x")
-        if bad:
-            return _failed(cid, slug, params, *bad)
+        run(spec, f, DynPoly.x(ring), 1, t, -t, 3, f"p={p}, h=x")
     # second specialization: power map with a scalar twist over GF(4)
     if 2 in ps:
         spec = _ext_field(2, 2)
@@ -299,22 +312,16 @@ def check_exg1(params: dict) -> CheckResult:
         h = DynPoly.make(ring, {1: lam})
         f2 = f.iterate(2)
         if f2.compose(h) != h.compose(f2):
-            return _failed(cid, slug, params, "commutation sanity",
-                           f2.compose(h), h.compose(f2))
-        bad = run(spec, f, h, 2, t, -(lam * t), 2, "GF(4), h=w*x")
-        if bad:
-            return _failed(cid, slug, params, *bad)
-    if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
-    return _passed(cid, slug, params,
-                   "conjugates of commuting sums track both orbits")
+            raise _Broken("commutation sanity", f2.compose(h), h.compose(f2))
+        run(spec, f, h, 2, t, -(lam * t), 2, "GF(4), h=w*x")
+    return "conjugates of commuting sums track both orbits"
 
 
-def check_2_8(params: dict) -> CheckResult:
-    cid, slug = "2.8", "all-ones-power-identity"
+@check("2.8", "all-ones-power-identity")
+def check_2_8(params: dict) -> str:
     ps = _primes(params, (2, 3, 5))
     if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
+        raise _Skip("no prime within pmax")
     nmax = params.get("nmax", 4)
     for p in ps:
         spec = FieldSpec(p)
@@ -324,19 +331,17 @@ def check_2_8(params: dict) -> CheckResult:
             lhs = base ** e
             rhs = FFPoly.make(spec, {i: spec.one() for i in range(p ** n)})
             if lhs != rhs:
-                return _failed(cid, slug, params, f"p={p}, n={n}",
-                               RatFunc.make(lhs, FFPoly.one(spec)),
-                               RatFunc.make(rhs, FFPoly.one(spec)))
-    return _passed(cid, slug, params,
-                   f"all-ones power identity holds for p in {ps}, "
-                   f"n <= {nmax}")
+                raise _Broken(f"p={p}, n={n}",
+                              RatFunc.make(lhs, FFPoly.one(spec)),
+                              RatFunc.make(rhs, FFPoly.one(spec)))
+    return f"all-ones power identity holds for p in {ps}, n <= {nmax}"
 
 
-def check_exxp(params: dict) -> CheckResult:
-    cid, slug = "exxp1-exxp2", "power-sum-conjugation-orbit"
+@check("exxp1-exxp2", "power-sum-conjugation-orbit")
+def check_exxp(params: dict) -> str:
     ps = _primes(params, (2, 3))
     if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
+        raise _Skip("no prime within pmax")
     nmax = params.get("nmax", 3)
     for p in ps:
         spec = FieldSpec(p)
@@ -348,9 +353,8 @@ def check_exxp(params: dict) -> CheckResult:
             lhs = twisted_pow(a, e)
             rhs = TwistedPoly.make(ring, [one] * (p ** n))
             if lhs != rhs:
-                return _failed(cid, slug, params,
-                               f"p={p}: all-ones twisted power at n={n}",
-                               lhs, rhs)
+                raise _Broken(f"p={p}: all-ones twisted power at n={n}",
+                              lhs, rhs)
         # adjoin a root of z^p - z - t and straighten f by conjugation
         zero = ring.from_int(0)
         modulus = [(-RatFunc.t(spec))] + [-one] + [zero] * (p - 2) + [one]
@@ -363,8 +367,7 @@ def check_exxp(params: dict) -> CheckResult:
         g = _x_poly(spec, {p: 1}) + DynPoly.constant(ring, RatFunc.t(spec))
         straightened = conjugate(g, LinearMap.shift(ext, delta))
         if straightened != g1:
-            return _failed(cid, slug, params,
-                           f"p={p}: straightening x^p + t", straightened, g1)
+            raise _Broken(f"p={p}: straightening x^p + t", straightened, g1)
         for n in range(1, nmax + 1):
             e = (p ** n - 1) // (p - 1)
             lhs = orbit_element(f1, t_e + delta, e)
@@ -373,11 +376,9 @@ def check_exxp(params: dict) -> CheckResult:
                 + delta
             via_g = orbit_element(g1, delta, p ** n)
             if lhs != rhs:
-                return _failed(cid, slug, params,
-                               f"p={p}: conjugated orbit at n={n}", lhs, rhs)
+                raise _Broken(f"p={p}: conjugated orbit at n={n}", lhs, rhs)
             if via_g != rhs:
-                return _failed(cid, slug, params,
-                               f"p={p}: power-map orbit at n={n}", via_g, rhs)
+                raise _Broken(f"p={p}: power-map orbit at n={n}", via_g, rhs)
     if 3 in ps:
         # odd p: no iterate of the power sum is a two-term additive map.
         # The constant-coefficient shape pins the candidate x^(p^k) + c*x
@@ -393,52 +394,36 @@ def check_exxp(params: dict) -> CheckResult:
             at_one = orbit_element(f, one, r)
             h_at_one = one + c
             if at_one == h_at_one:
-                return _failed(cid, slug, params,
-                               f"r={r}: two-term additive map not excluded",
-                               at_one, h_at_one)
-    return _passed(cid, slug, params,
-                   f"power-sum twisted and conjugated orbit identities hold "
-                   f"for p in {ps}, n <= {nmax}")
+                raise _Broken(f"r={r}: two-term additive map not excluded",
+                              at_one, h_at_one)
+    return (f"power-sum twisted and conjugated orbit identities hold for p "
+            f"in {ps}, n <= {nmax}")
 
 
-def check_2_5(params: dict) -> CheckResult:
-    cid, slug = "2.5", "fixed-point-non-sharing"
-    pairs = [(2, 2), (3, 2)]
+@check("2.5", "fixed-point-non-sharing")
+def check_2_5(params: dict) -> str:
     ps = _primes(params, (2, 3))
-    pairs = [(p, r) for (p, r) in pairs if p in ps]
-    if not pairs:
-        return _skipped(cid, slug, params, "no (p, r) pair within bounds")
+    pairs = [(p, r) for p, r in _EXT_FIELDS if p in ps]
     mmax = params.get("nmax", 8)
-    for p, r in pairs:
-        spec = _ext_field(p, r)
-        ring = KRing(spec)
-        lam = RatFunc.constant(spec, spec.gen())
-        t = RatFunc.t(spec)
-        gt = TwistedPoly.make(ring, [lam] + [ring.from_int(0)] * (r - 1)
-                              + [ring.from_int(1)])
+    for p, r, ring, t, lam, gt, f, g in _twists(pairs):
         fixed = -(lam * t)
-        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, fixed))
-        f = _x_poly(spec, {p: 1})
         points = zip(walk(g, fixed), walk(f, fixed))
         for m, (gpt, fpt) in enumerate(islice(points, 1, mmax + 1), 1):
             if gpt != fixed:
-                return _failed(cid, slug, params,
-                               f"(p,r)=({p},{r}): fixed point lost at m={m}",
-                               gpt, fixed)
+                raise _Broken(f"(p,r)=({p},{r}): fixed point lost at m={m}",
+                              gpt, fixed)
             if fpt == fixed:
-                return _failed(cid, slug, params,
-                               f"(p,r)=({p},{r}): power-map orbit returned "
-                               f"at m={m}", fpt, fixed)
-    return _passed(cid, slug, params,
-                   f"one orbit sits at its fixed point, the other never "
-                   f"returns, for m <= {mmax}, pairs {pairs}")
+                raise _Broken(f"(p,r)=({p},{r}): power-map orbit returned "
+                              f"at m={m}", fpt, fixed)
+    return (f"one orbit sits at its fixed point, the other never returns, "
+            f"for m <= {mmax}, pairs {pairs}")
 
 
-def check_2_1(params: dict) -> CheckResult:
-    cid, slug = "2.1", "affine-conjugacy-witness"
+@check("2.1", "affine-conjugacy-witness")
+def check_2_1(params: dict) -> str:
     ps = _primes(params, (2, 3, 5))
     if not ps:
-        return _skipped(cid, slug, params, "no prime within pmax")
+        raise _Skip("no prime within pmax")
     count = params.get("nmax", 5)
     rng = random.Random(7321)
     for trial in range(count):
@@ -463,31 +448,15 @@ def check_2_1(params: dict) -> CheckResult:
         if not isinstance(delta, RatFunc):
             f1 = f1.lift_to(target_ring)
         if lhs != f1:
-            return _failed(cid, slug, params,
-                           f"trial {trial}: p={p}, f={f}, shift={gamma}",
-                           lhs, f1)
+            raise _Broken(f"trial {trial}: p={p}, f={f}, shift={gamma}",
+                          lhs, f1)
         if not is_additive(f):
-            return _failed(cid, slug, params, f"trial {trial}: witness shape",
-                           f, "an additive polynomial")
-    return _passed(cid, slug, params,
-                   f"{count} random additive maps conjugate onto their "
-                   f"affine perturbations")
+            raise _Broken(f"trial {trial}: witness shape", f,
+                          "an additive polynomial")
+    return (f"{count} random additive maps conjugate onto their affine "
+            f"perturbations")
 
 
-CHECKS: Dict[str, Callable[[dict], CheckResult]] = {
-    "101": check_101,
-    "102": check_102,
-    "3-4": check_3_4,
-    "15-16": check_15_16,
-    "11-12": check_11_12,
-    "exg1": check_exg1,
-    "2.8": check_2_8,
-    "exxp1-exxp2": check_exxp,
-    "2.5": check_2_5,
-    "2.1": check_2_1,
-}
-
-# --verify-all runs the checks in the order of the catalog above
 SUITE_ORDER = tuple(CHECKS)
 
 
@@ -500,9 +469,6 @@ def run_example(example_id: str, params: Optional[dict] = None) -> CheckResult:
     return fn(dict(params or {}))
 
 
-def verify_all(pmax: Optional[int] = None,
-               params: Optional[dict] = None) -> List[CheckResult]:
-    base = dict(params or {})
-    if pmax is not None:
-        base["pmax"] = pmax
-    return [CHECKS[cid](dict(base)) for cid in SUITE_ORDER]
+def verify_all(pmax: Optional[int] = None) -> List[CheckResult]:
+    params = {} if pmax is None else {"pmax": pmax}
+    return [CHECKS[cid](dict(params)) for cid in SUITE_ORDER]

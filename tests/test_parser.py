@@ -18,6 +18,7 @@ from fforbits import dynpoly
 from fforbits.dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET,
                               Budget, DynPoly, KRing)
 from fforbits.twisted import TwistedPoly
+from fforbits.orbits import PlaneCurve
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_expr,
                              parse_map, parse_modulus, parse_scalar,
                              parse_scenario, print_canonical)
@@ -198,6 +199,40 @@ def test_powers_past_their_degree_are_refused_before_any_product():
     assert parse_map("(x^2 + x + t)^25", CTX3).degree == 50
 
 
+@pytest.mark.parametrize("text,terms,printed", [
+    ("x1 + 0", {(1, 0): RatFunc.one(GF3)}, "x1"),
+    ("0*x1 + x2", {(0, 1): RatFunc.one(GF3)}, "x2"),
+    ("x1 - x1 + x2", {(0, 1): RatFunc.one(GF3)}, "x2"),
+    ("(x1 + t)^3 - x1^3", {(0, 0): RatFunc.t(GF3) ** 3}, "t^3"),
+])
+def test_curve_drops_the_terms_that_cancel(text, terms, printed):
+    """Zero scalars and sums that vanish leave no term behind."""
+    curve = parse_curve(text, GF3)
+    assert curve == PlaneCurve.make(KRing(GF3), terms)
+    assert str(curve) == printed
+
+
+def test_curve_that_cancels_to_zero_is_refused():
+    with pytest.raises(ParseError,
+                       match="the zero polynomial does not define a curve"):
+        parse_curve("x1 - x1", GF3)
+
+
+@pytest.mark.parametrize("degree,first_refused", [(10, 4), (30, 9),
+                                                  (100, 16), (1000, 88)])
+def test_curve_power_draws_each_product_on_the_budget(degree, first_refused):
+    """(x1 + x2)^k under Budget(degree): each product of a by b terms
+    costs max(1, a)*max(1, b), and the first k the budget refuses is
+    pinned; the square of a two-term curve costs 4."""
+    for k in range(1, first_refused):
+        parse_curve(f"(x1 + x2)^{k}", GF3, budget=Budget(degree))
+    with pytest.raises(DegreeBudgetExceeded):
+        parse_curve(f"(x1 + x2)^{first_refused}", GF3, budget=Budget(degree))
+    budget = Budget(degree)
+    parse_curve("(x1 + x2)^2", GF3, budget=budget)
+    assert budget.left == degree - 4
+
+
 def test_curve_vars_rejected_outside_curve_mode():
     with pytest.raises(UndefinedSymbol):
         parse_map("x1 + x2", CTX2)
@@ -246,6 +281,19 @@ def test_round_trip_handpicked():
     assert round_trip(f, CTX3) == f
     a = TwistedPoly.make(KRing(GF3), [t, one, t + one])
     assert round_trip(a, CTX3) == a
+
+
+def test_printers_keep_their_wrap_rules():
+    """A polynomial in t wraps only a coefficient that is a sum, and a
+    curve's constant term likewise; a map's coefficients also wrap
+    products and fractions.  Both forms re-parse, so only these bytes pin
+    the rules apart."""
+    gf9 = FieldSpec.parse("GF(9; mod=w^2+1)")
+    ctx9 = ParseContext(gf9)
+    assert str(parse_scalar("2*w*t + 2*w", ctx9)) == "2*w*t + 2*w"
+    assert str(parse_map("(2*w*t)*x + 2*w", ctx9)) == "(2*w*t)*x + (2*w)"
+    assert str(parse_curve("x1 + 1/t", GF3)) == "x1 + 1/t"
+    assert str(parse_curve("t/(t + 1)*x2 + 2*t", GF3)) == "(t/(t + 1))*x2 + 2*t"
 
 
 @st.composite

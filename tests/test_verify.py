@@ -5,6 +5,7 @@ is asserted by the check itself; here we make sure the harness around
 them behaves.
 """
 import math
+from itertools import repeat
 
 import pytest
 
@@ -137,3 +138,82 @@ def test_check_15_16_fails_on_a_wrong_orbit_point(monkeypatch):
 def test_single_prime_subset_still_passes():
     res = run_example("15-16", {"p": 2, "nmax": 6})
     assert res.status == "PASS"
+
+
+# (id, status, detail, skippedPrimes) of every check under pmax = 1
+_BELOW_EVERY_PRIME = [
+    ("101", "PASS", "orbit of 0 matches t^(2^m) + t for 1 <= m <= 12", None),
+    ("102", "PASS", "sparse doubling orbit matches for k <= 4", None),
+    ("3-4", "SKIPPED", "no prime within pmax", [2, 3]),
+    ("15-16", "SKIPPED", "no prime within pmax", [2, 3, 5]),
+    ("11-12", "SKIPPED", "no (p, r) pair within bounds", [2, 3]),
+    ("exg1", "SKIPPED", "no prime within pmax", [2, 3]),
+    ("2.8", "SKIPPED", "no prime within pmax", [2, 3, 5]),
+    ("exxp1-exxp2", "SKIPPED", "no prime within pmax", [2, 3]),
+    ("2.5", "SKIPPED", "no (p, r) pair within bounds", [2, 3]),
+    ("2.1", "SKIPPED", "no prime within pmax", [2, 3, 5]),
+]
+
+
+def test_pmax_below_every_prime_reports_each_check():
+    assert [(r.check_id, r.status, r.detail, r.params.get("skippedPrimes"))
+            for r in verify_all(pmax=1)] == _BELOW_EVERY_PRIME
+
+
+def test_skip_reason_names_the_pairs_when_no_pair_is_left():
+    """A prime within pmax but with no (p, r) pair, or an r with none."""
+    for cid, params in (("11-12", {"p": 5}), ("11-12", {"r": 3}),
+                        ("2.5", {"p": 5})):
+        res = run_example(cid, params)
+        assert (res.status, res.detail) == ("SKIPPED",
+                                            "no (p, r) pair within bounds")
+    assert run_example("2.5", {"r": 3}).status == "PASS"
+
+
+def test_failure_inside_a_helper_names_its_identity(monkeypatch):
+    """exg1's conjugate-orbit identity, broken by one wrong point of the
+    walk from 0 (the conjugate's start, alpha + delta = 0)."""
+    real = verify.orbit_element
+
+    def orbit_element(f, start, n):
+        out = real(f, start, n)
+        return out + RatFunc.one(start.spec) if not start else out
+
+    monkeypatch.setattr(verify, "orbit_element", orbit_element)
+    res = run_example("exg1", {"p": 2})
+    assert res.status == "FAIL"
+    assert res.detail == ("p=2, h=x: conjugate orbit at k=0: "
+                          "lhs = t^2 + t + 1 ; rhs = t^2 + t")
+
+
+def test_failure_of_an_inverted_identity(monkeypatch):
+    """Check 2.5 fails when the power map's orbit returns to the fixed
+    point: both sides print as that point."""
+    real = verify.walk
+
+    def walk(f, start):
+        return repeat(start) if len(f.terms) == 1 else real(f, start)
+
+    monkeypatch.setattr(verify, "walk", walk)
+    res = run_example("2.5", {})
+    assert res.status == "FAIL"
+    assert res.detail == ("(p,r)=(2,2): power-map orbit returned at m=1: "
+                          "lhs = w*t ; rhs = w*t")
+
+
+def test_failure_of_a_plain_mismatch(monkeypatch):
+    real = verify.orbit_prefix
+
+    def orbit_prefix(f, start, count):
+        out = real(f, start, count)
+        out[3] = out[3] + RatFunc.one(out[3].spec)
+        return out
+
+    monkeypatch.setattr(verify, "orbit_prefix", orbit_prefix)
+    res = run_example("101", {})
+    assert (res.status, res.detail) == (
+        "FAIL", "iterate 3 of 0: lhs = t^8 + t + 1 ; rhs = t^8 + t")
+    res = run_example("3-4", {"p": 3})
+    assert (res.status, res.detail) == (
+        "FAIL", "p=3: affine iterate 3: lhs = (t^4 + 2*t^3 + t + 1)/(t + 2) "
+        "; rhs = (t^4 + 2*t^3 + 2)/(t + 2)")
