@@ -1,12 +1,12 @@
 """Exact arithmetic-dynamics workbench over rational function fields F_q(t).
 
 The pieces, bottom up: finite fields (field), the rational function field
-and its algebraic extensions (funcfield), dynamical polynomials and
-conjugation (dynpoly), the twisted polynomial algebra of additive maps
-(twisted), function-field heights and search pruning (heights), orbit
-intersection and return-set classification (orbits), the expression and
-scenario language (parser), the built-in identity suite (verify), and the
-command-line driver (cli).
+and its algebraic extensions (funcfield), dynamical polynomials and their
+conjugation by a shift (dynpoly), the twisted polynomial algebra of
+additive maps (twisted), function-field heights and search pruning
+(heights), orbit intersection and return-set classification (orbits), the
+expression and scenario language (parser), the built-in identity suite
+(verify), and the command-line driver (cli).
 """
 
 # before the imports below, so that any submodule may import it
@@ -19,9 +19,9 @@ from .errors import (AlgebraError, BudgetExceeded, DegreeBudgetExceeded,
 from .field import FieldElem, FieldSpec, binom_mod
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, Budget,
-                      DynPoly, LinearMap, common_iterate, conjugate,
-                      is_additive, orbit_element, orbit_prefix,
-                      solve_affine_conjugacy, walk)
+                      DynPoly, common_iterate, conjugate, is_additive,
+                      orbit_element, orbit_prefix, solve_affine_conjugacy,
+                      walk)
 from .twisted import TwistedPoly, twisted_pow
 from .heights import (HeightEstimate, HeightGapConstant, PruningData,
                       canonical_height, derive_pruning, height_gap_constant,
@@ -32,8 +32,7 @@ from .orbits import (PlaneCurve, ReturnModel, ReturnSet,
                      fit_return_model, intersect_orbits,
                      synchronized_collisions)
 from .parser import (ParseContext, Scenario, parse_curve, parse_expr,
-                     parse_map, parse_modulus, parse_scalar, parse_scenario,
-                     print_canonical)
+                     parse_map, parse_modulus, parse_scalar, parse_scenario)
 from .verify import CheckResult, run_example, verify_all
 
 __all__ = [name for name in dir() if not name.startswith("_")]

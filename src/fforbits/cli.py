@@ -14,27 +14,19 @@ from typing import List, Optional
 
 from . import __version__ as VERSION
 from .errors import AlgebraError, BudgetExceeded, ValidationError
-from .dynpoly import DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, DynPoly
+from .dynpoly import DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET
 from .twisted import TwistedPoly
 from .heights import canonical_height, derive_pruning, height_gap_constant, \
     rationalize
 from .orbits import curve_return_set, fit_return_model, intersect_orbits, \
     synchronized_collisions
-from .parser import Scenario, parse_scenario, print_canonical
+from .parser import Scenario, parse_scenario
 from .verify import run_example, verify_all
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
-
-
-def _as_dynpoly(value, key: str) -> DynPoly:
-    if isinstance(value, TwistedPoly):
-        return value.to_dynpoly()
-    if isinstance(value, DynPoly):
-        return value
-    raise ValidationError(key, f"'{key}' must be a polynomial map")
 
 
 def _verify_summary(checks: List[dict]) -> dict:
@@ -58,10 +50,11 @@ def run_scenario(sc: Scenario) -> dict:
               "ext": sc.ext.modulus_str() if sc.ext else None,
               "caps": {"capM": sc.cap_m, "capN": sc.cap_n},
               "budgets": {"degree": sc.degree_budget, "tau": sc.tau_budget}}
+    # a map parses to a DynPoly or a TwistedPoly; g may be absent
+    f, g = (m.to_dynpoly() if isinstance(m, TwistedPoly) else m
+            for m in (sc.f, sc.g))
 
     if sc.task in ("intersect", "classify"):
-        f = _as_dynpoly(sc.f, "f")
-        g = _as_dynpoly(sc.g, "g")
         sieve = None
         if sc.prune:
             if sc.ext is not None:
@@ -91,8 +84,6 @@ def run_scenario(sc: Scenario) -> dict:
         return report
 
     if sc.task == "synchronized":
-        f = _as_dynpoly(sc.f, "f")
-        g = _as_dynpoly(sc.g, "g")
         r = sc.params.get("r", 1)
         s = sc.params.get("s", 1)
         a = sc.params.get("a", 0)
@@ -105,17 +96,14 @@ def run_scenario(sc: Scenario) -> dict:
         return report
 
     if sc.task == "curve-return":
-        f = _as_dynpoly(sc.f, "f")
-        g = _as_dynpoly(sc.g, "g")
         ns = curve_return_set(f, g, (sc.alpha, sc.beta), sc.curve, sc.cap_n)
-        report["curve"] = print_canonical(sc.curve)
+        report["curve"] = str(sc.curve)
         report["returns"] = ns
         report["exhaustive"] = True
         return report
 
     if sc.task == "heights":
         del report["caps"]  # no bounded search happens here
-        f = _as_dynpoly(sc.f, "f")
         gap = height_gap_constant(f)
         est = canonical_height(f, sc.alpha, sc.target_error, gap)
         rat = rationalize(est, sc.denominator_bound)

@@ -1,12 +1,14 @@
-"""Polynomials as dynamical systems: composition, iteration, conjugacy.
+"""Polynomials as dynamical systems: composition, iteration, conjugation.
 
 A DynPoly is a sparse polynomial in x whose coefficients live either in
 K = GF(q)(t) (a KRing handle) or in an extension K[y]/(M) (an ExtRing).
 Exponents are arbitrary-precision, which matters: additive polynomials have
 only p-power exponents and their iterates reach x^(p^k) for large k while
 staying a handful of terms.  Every power, of a two-term base too, is one
-field.power over Frobenius images.  An affine conjugacy of an additive map
-is solved for exactly: its root is found in K whenever K has one.
+field.power over Frobenius images.  Maps are conjugated by shifts
+x -> x + delta, the only conjugations the identity suite needs.  An affine
+conjugacy of an additive map is solved for exactly: its root is found in K
+whenever K has one.
 
 Symbolic expansion (compose, iterate, powers, here and in twisted and the
 parser) draws on one Budget.  Its degree work is a single number bounding
@@ -75,18 +77,12 @@ class Budget:
 
 
 def _scalar_in(ring: Ring, value) -> Scalar:
-    if isinstance(ring, KRing):
-        if isinstance(value, RatFunc) and value.spec == ring.spec:
-            return value
-        if isinstance(value, int):
-            return ring.from_int(value)
-    else:
-        if isinstance(value, ExtElem) and value.ring == ring:
-            return value
-        if isinstance(value, RatFunc) and value.spec == ring.spec:
-            return ring.from_K(value)
-        if isinstance(value, int):
-            return ring.from_int(value)
+    if isinstance(value, int):
+        return ring.from_int(value)
+    if isinstance(value, RatFunc) and value.spec == ring.spec:
+        return ring.from_K(value)
+    if isinstance(value, ExtElem) and value.ring == ring:
+        return value
     raise RingMismatch(f"{value!r} is not a scalar of {ring!r}")
 
 
@@ -312,47 +308,6 @@ def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
     return out
 
 
-class LinearMap(Frozen):
-    """x -> a*x + b with a invertible; the conjugating maps."""
-
-    __slots__ = ("ring", "a", "b")
-
-    @classmethod
-    def make(cls, ring: Ring, a, b) -> "LinearMap":
-        a = _scalar_in(ring, a)
-        b = _scalar_in(ring, b)
-        if not a:
-            raise ValueError("linear map needs invertible leading coefficient")
-        return cls(ring, a, b)
-
-    @classmethod
-    def shift(cls, ring: Ring, b) -> "LinearMap":
-        return cls.make(ring, 1, b)
-
-    @classmethod
-    def identity(cls, ring: Ring) -> "LinearMap":
-        return cls.make(ring, 1, 0)
-
-    def __call__(self, point):
-        point = _scalar_in(self.ring, point)
-        return self.a * point + self.b
-
-    def inverse(self) -> "LinearMap":
-        inv = self.a.inverse()
-        return LinearMap(self.ring, inv, -(inv * self.b))
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        # self after other
-        return LinearMap(self.ring, self.a * other.a,
-                         self.a * other.b + self.b)
-
-    def as_dynpoly(self) -> DynPoly:
-        return DynPoly.make(self.ring, {1: self.a, 0: self.b})
-
-    def __str__(self) -> str:
-        return str(self.as_dynpoly())
-
-
 def walk(f: DynPoly, start) -> Iterator:
     """start, f(start), f^2(start), ...: each point is evaluated only when
     asked for, so a capped consumer never evaluates past its cap.  An int
@@ -378,21 +333,19 @@ def orbit_prefix(f: DynPoly, start, count: int) -> list:
     return list(itertools.islice(walk(f, start), count + 1))
 
 
-def conjugate(f: DynPoly, mu: LinearMap,
-              budget: Optional[Budget] = None) -> DynPoly:
-    """mu o f o mu^(-1).
+def conjugate(f: DynPoly, delta, budget: Optional[Budget] = None) -> DynPoly:
+    """f(x - delta) + delta, the conjugate tau_delta o f o tau_(-delta) of
+    f by the shift tau_delta(x) = x + delta.
 
-    To move a map written as mu^(-1) o f o mu into this orientation, pass
-    the inverse map.  If f lives over K and mu over an extension of the
-    same field, f is lifted first.
+    If f lives over K and delta in an extension of the same field, f is
+    lifted first.
     """
-    if isinstance(f.ring, KRing) and isinstance(mu.ring, ExtRing) \
-            and f.ring.spec == mu.ring.spec:
-        f = f.lift_to(mu.ring)
-    if f.ring != mu.ring:
-        raise RingMismatch("conjugating map lives in a different ring")
-    inner = f.compose(mu.inverse().as_dynpoly(), budget)
-    return inner.scale(mu.a) + DynPoly.constant(f.ring, mu.b)
+    if isinstance(f.ring, KRing) and isinstance(delta, ExtElem) \
+            and f.spec == delta.spec:
+        f = f.lift_to(delta.ring)
+    delta = _scalar_in(f.ring, delta)
+    inner = DynPoly.make(f.ring, {1: 1, 0: -delta})
+    return f.compose(inner, budget) + DynPoly.constant(f.ring, delta)
 
 
 def is_additive(f: DynPoly) -> bool:

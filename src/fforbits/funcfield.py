@@ -238,12 +238,6 @@ class FFPoly(Frozen):
 
     # -- misc ----------------------------------------------------------
 
-    def evaluate(self, x: FieldElem) -> FieldElem:
-        acc = self.spec.zero()
-        for e, c in self.terms.items():
-            acc = acc + _elem(self.spec, c) * x ** e
-        return acc
-
     def __str__(self) -> str:
         return format_poly(self, "t")
 
@@ -682,6 +676,9 @@ class KRing(Frozen):
 
     def from_int(self, n: int) -> RatFunc:
         return RatFunc.constant(self.spec, n)
+
+    def from_K(self, value: RatFunc) -> RatFunc:
+        return value
 
     def __eq__(self, other) -> bool:
         return isinstance(other, KRing) and self.spec == other.spec

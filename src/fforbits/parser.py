@@ -8,7 +8,7 @@ sum < product < power; '^' folds left, so a^2^3 means (a^2)^3.  A leading
 p - 1.  Division is defined between field elements only.
 
 Every value type in the package prints through str() into this grammar,
-and parse(print(v)) == v holds for all of them; that round trip is what
+and parse(str(v)) == v holds for all of them; that round trip is what
 pins down the canonical form.
 
 Values are built as they are parsed, in their own types: a scalar meeting
@@ -109,19 +109,13 @@ class ParseContext:
         return self.ring.from_int(n)
 
     def scalar_t(self):
-        t = RatFunc.t(self.spec)
-        if self.ext is not None:
-            return self.ext.from_K(t)
-        return t
+        return self.ring.from_K(RatFunc.t(self.spec))
 
     def scalar_w(self, pos: int):
         if self.spec.r == 1:
             raise UndefinedSymbol(
                 f"'w' is undefined over GF({self.spec.p})", pos)
-        c = RatFunc.constant(self.spec, self.spec.gen())
-        if self.ext is not None:
-            return self.ext.from_K(c)
-        return c
+        return self.ring.from_K(RatFunc.constant(self.spec, self.spec.gen()))
 
 
 def _kind(v) -> str:
@@ -365,11 +359,6 @@ def parse_modulus(text: str, spec: FieldSpec,
     if not lead.is_constant() or lead.constant_value() != spec.one():
         raise ParseError("an extension modulus must be monic", 0)
     return dense_coeffs(v.terms, d + 1, RatFunc.zero(spec))
-
-
-def print_canonical(value) -> str:
-    """The canonical text form; parse(print_canonical(v)) == v."""
-    return str(value)
 
 
 # ---- scenario files ----

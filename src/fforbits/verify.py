@@ -19,9 +19,8 @@ from typing import Callable, Dict, List, Optional
 from .errors import ValidationError
 from .field import FieldSpec, Frozen, binom_mod, pack_slots, unpack_slots
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
-from .dynpoly import (DynPoly, LinearMap, conjugate, is_additive,
-                      orbit_element, orbit_prefix, solve_affine_conjugacy,
-                      walk)
+from .dynpoly import (DynPoly, conjugate, is_additive, orbit_element,
+                      orbit_prefix, solve_affine_conjugacy, walk)
 from .twisted import TwistedPoly, twisted_pow
 
 
@@ -109,7 +108,7 @@ def _twists(pairs: list):
         t = RatFunc.t(spec)
         gt = TwistedPoly.make(ring, [lam] + [ring.from_int(0)] * (r - 1)
                               + [ring.from_int(1)])
-        g = conjugate(gt.to_dynpoly(), LinearMap.shift(ring, -(lam * t)))
+        g = conjugate(gt.to_dynpoly(), -(lam * t))
         yield p, r, ring, t, lam, gt, _x_poly(spec, {p: 1}), g
 
 
@@ -162,7 +161,7 @@ def check_3_4(params: dict) -> str:
             rhs = t ** n - eps
             if pts[n] != rhs:
                 raise _Broken(f"p={p}: affine iterate {n}", pts[n], rhs)
-        g = conjugate(_x_poly(spec, {2: 1}), LinearMap.shift(ring, -eps))
+        g = conjugate(_x_poly(spec, {2: 1}), -eps)
         beta = t - eps
         pts = orbit_prefix(g, beta, nmax)
         for n in range(nmax + 1):
@@ -284,9 +283,8 @@ def check_exg1(params: dict) -> str:
         raise _Skip("no prime within pmax")
 
     def run(spec, f, h, m, alpha, delta, kmax, label):
-        ring = f.ring
         base = f.iterate(m) + h
-        g = conjugate(base, LinearMap.shift(ring, delta))
+        g = conjugate(base, delta)
         for k in range(kmax + 1):
             n = spec.p ** k
             lhs = orbit_element(g, alpha + delta, n)
@@ -362,10 +360,10 @@ def check_exxp(params: dict) -> str:
         delta = ext.y()
         t_e = ext.from_K(RatFunc.t(spec))
         f = a.to_dynpoly()
-        f1 = conjugate(f, LinearMap.shift(ext, delta))
+        f1 = conjugate(f, delta)
         g1 = DynPoly.make(ext, {p: ext.one()})
         g = _x_poly(spec, {p: 1}) + DynPoly.constant(ring, RatFunc.t(spec))
-        straightened = conjugate(g, LinearMap.shift(ext, delta))
+        straightened = conjugate(g, delta)
         if straightened != g1:
             raise _Broken(f"p={p}: straightening x^p + t", straightened, g1)
         for n in range(1, nmax + 1):
@@ -441,12 +439,10 @@ def check_2_1(params: dict) -> str:
         f = DynPoly.make(ring, terms)
         gamma = rng.choice([t, one, t + one, t * t + t])
         delta = solve_affine_conjugacy(f, gamma)
-        target_ring = ring if isinstance(delta, RatFunc) else delta.ring
-        mu = LinearMap.shift(target_ring, -delta)
-        lhs = conjugate(f, mu)
+        lhs = conjugate(f, -delta)
         f1 = f + DynPoly.constant(ring, gamma)
         if not isinstance(delta, RatFunc):
-            f1 = f1.lift_to(target_ring)
+            f1 = f1.lift_to(delta.ring)
         if lhs != f1:
             raise _Broken(f"trial {trial}: p={p}, f={f}, shift={gamma}",
                           lhs, f1)

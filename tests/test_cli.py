@@ -88,6 +88,30 @@ def test_version_matches_package_and_pyproject(tmp_path, capsys):
     assert json.loads(out)["version"] == fforbits.__version__ == declared
 
 
+def test_public_names():
+    """The package's public surface, pinned so that a change to it shows
+    up in this test's diff."""
+    assert sorted(fforbits.__all__) == [
+        "AlgebraError", "Budget", "BudgetExceeded", "CheckResult",
+        "DEFAULT_DEGREE_BUDGET", "DEFAULT_TAU_BUDGET", "DegreeBudgetExceeded",
+        "DivisionByZero", "DynPoly", "ExtElem", "ExtRing", "FFPoly",
+        "FieldElem", "FieldSpec", "HeightEstimate", "HeightGapConstant",
+        "KRing", "MixedVariables", "NotAdditive", "ParseContext", "ParseError",
+        "PlaneCurve", "PruningData", "RatFunc", "ReducibleModulus",
+        "ReturnModel", "ReturnSet", "RingMismatch", "Scenario",
+        "TauDegreeBudgetExceeded", "TwistedPoly", "UndefinedSymbol",
+        "ValidationError", "ZeroDivisor", "ap_implies_common_iterate",
+        "binom_mod", "canonical_height", "common_iterate", "conjugate",
+        "curve_return_set", "derive_pruning", "dynpoly", "errors", "field",
+        "fit_return_model", "funcfield", "height_gap_constant", "heights",
+        "intersect_orbits", "is_additive", "multiplicative_dependence",
+        "orbit_element", "orbit_prefix", "orbits", "parse_curve", "parse_expr",
+        "parse_map", "parse_modulus", "parse_scalar", "parse_scenario",
+        "parser", "pruned_candidates", "rationalize", "run_example",
+        "solve_affine_conjugacy", "synchronized_collisions", "twisted",
+        "twisted_pow", "verify", "verify_all", "walk"]
+
+
 def test_extension_point_with_denominator(tmp_path, capsys):
     """Reducing the denominators of 1/y's orbit takes remainders across
     gaps over 64 below the divisor degree."""

@@ -10,10 +10,9 @@ import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, FFPoly, RatFunc
-from fforbits.dynpoly import (Budget, DynPoly, KRing, LinearMap,
-                              common_iterate, conjugate, is_additive,
-                              orbit_element, orbit_prefix,
-                              solve_affine_conjugacy)
+from fforbits.dynpoly import (Budget, DynPoly, KRing, common_iterate,
+                              conjugate, is_additive, orbit_element,
+                              orbit_prefix, solve_affine_conjugacy)
 from fforbits.errors import (DegreeBudgetExceeded, DivisionByZero, NotAdditive,
                              RingMismatch)
 
@@ -220,47 +219,70 @@ def test_mixed_rings_rejected():
         dyn(K2, {1: 1}) + dyn(K3, {1: 1})
 
 
-# Linear maps and conjugation
+# Conjugation by a shift
 
-def test_linear_map_inverse_composes_to_identity():
-    t = t_of(GF3)
-    mu = LinearMap.make(K3, RatFunc.constant(GF3, 2), t)
-    assert mu.compose(mu.inverse()) == LinearMap.identity(K3)
-    assert mu.inverse().compose(mu) == LinearMap.identity(K3)
+GF4 = FieldSpec.parse("GF(4; mod=w^2+w+1)")
 
 
-def test_shift_map_acts_by_addition():
-    t = t_of(GF2)
-    mu = LinearMap.shift(K2, t)
-    one = RatFunc.one(GF2)
-    assert mu(one) == one + t
+def shift(ring, d):
+    """tau_d(x) = x + d."""
+    return DynPoly.make(ring, {1: 1, 0: d})
+
+
+@st.composite
+def shift_cases(draw):
+    """(f, d, z): f over K of degree at most 4 and a shift d with a point
+    z, both in K or both in K[y]/(y^2 + y + t) (f stays over K, so
+    conjugate has to lift it)."""
+    spec = draw(st.sampled_from([GF2, GF3, GF4]))
+    f = DynPoly.make(KRing(spec), {e: draw(k_values(spec, 1))
+                                   for e in range(draw(st.integers(0, 4)) + 1)})
+    d, z = draw(k_values(spec, 1)), draw(k_values(spec, 1))
+    if draw(st.booleans()):
+        one = RatFunc.one(spec)
+        ext = ExtRing(spec, [t_of(spec), one, one])
+        d, z = (ext.elem([c, draw(k_values(spec, 1))]) for c in (d, z))
+    return f, d, z
+
+
+@given(shift_cases())
+@example((dyn(K3, {2: 1}), RatFunc.one(GF3), RatFunc.zero(GF3)))
+@settings(max_examples=80, deadline=None)
+def test_conjugate_moves_every_point_by_the_shift(case):
+    """The conjugate of f by tau_d takes z + d to f(z) + d, checked point
+    by point against f itself, with no composition on this side.  In
+    characteristic 2 the shift and its inverse agree; the pinned case, x^2
+    over GF(3) with d = 1 at z = 0, tells them apart: f(x + d) - d takes
+    z + d = 1 to f(2) - 1 = 0, not to f(0) + d = 1."""
+    f, d, z = case
+    assert conjugate(f, d).evaluate(z + d) == f.evaluate(z) + d
 
 
 def test_conjugate_definition():
-    """conjugate(f, mu) = mu o f o mu^(-1) as polynomials."""
+    """conjugate(f, d) = tau_d o f o tau_(-d) as polynomials."""
     f = dyn(K3, {2: 1, 0: t_of(GF3)})
-    mu = LinearMap.make(K3, RatFunc.constant(GF3, 2), RatFunc.one(GF3))
-    g = conjugate(f, mu)
-    want = mu.as_dynpoly().compose(f).compose(mu.inverse().as_dynpoly())
-    assert g == want
+    d = t_of(GF3) + RatFunc.one(GF3)
+    assert conjugate(f, d) == shift(K3, d).compose(f).compose(shift(K3, -d))
+    # (x - t - 1)^2 + t + t + 1
+    assert str(conjugate(f, d)) == "x^2 + (t + 1)*x + (t^2 + t + 2)"
 
 
 def test_conjugate_commutes_with_iteration():
-    """mu o f^n o mu^(-1) = (mu o f o mu^(-1))^n for n <= 5."""
+    """tau_d o f^n o tau_(-d) = (tau_d o f o tau_(-d))^n for n <= 5."""
     f = dyn(K2, {2: 1, 1: 1})
-    mu = LinearMap.shift(K2, t_of(GF2))
-    g = conjugate(f, mu)
+    d = t_of(GF2)
+    g = conjugate(f, d)
     for n in range(6):
-        assert g.iterate(n) == conjugate(f.iterate(n), mu)
+        assert g.iterate(n) == conjugate(f.iterate(n), d)
 
 
 def test_conjugate_preserves_orbit_structure():
     f = dyn(K2, {2: 1, 0: t_of(GF2) ** 2 + t_of(GF2)})
-    mu = LinearMap.shift(K2, t_of(GF2))
-    g = conjugate(f, mu)
+    d = t_of(GF2)
+    g = conjugate(f, d)
     start = RatFunc.zero(GF2)
     for n in range(8):
-        assert orbit_element(g, mu(start), n) == mu(orbit_element(f, start, n))
+        assert orbit_element(g, start + d, n) == orbit_element(f, start, n) + d
 
 
 # Additive polynomials

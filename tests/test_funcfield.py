@@ -346,13 +346,6 @@ def test_ffpoly_frobenius_is_pth_power():
     assert a.frobenius() == FFPoly.constant(GF4, w * w) + FFPoly.t(GF4) ** 2
 
 
-def test_ffpoly_evaluate():
-    a = poly(GF3, {0: 2, 1: 1, 2: 1})
-    for x in GF3.all_elements():
-        want = GF3.elem(2) + x + x * x
-        assert a.evaluate(x) == want
-
-
 def gapped_dividend(spec, coeffs, degree, others):
     """The polynomial with the given nonzero coefficients on exponent
     degree and on the exponents others, in that order."""

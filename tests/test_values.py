@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import fforbits
-from fforbits.dynpoly import LinearMap
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, FFPoly, KRing, RatFunc
 from fforbits.heights import (PruningData, canonical_height,
@@ -52,7 +51,6 @@ VALUES = {
     "DynPoly over ext": parse_map("y*x^3 + t", CTX_EXT),
     "TwistedPoly": parse_map("t*T^2 + T", CTX3),
     "PlaneCurve": parse_curve("x1^2 - t*x2", GF3, None),
-    "LinearMap": LinearMap.make(K3, 2, T),
     "HeightGapConstant": height_gap_constant(F),
     "HeightEstimate": canonical_height(F, T),
     "PruningData": PruningData(Fraction(1, 3), Fraction(-2), Fraction(5)),
@@ -65,7 +63,6 @@ VALUES = {
 UNHASHABLE = {"PlaneCurve", "CheckResult"}
 # the public slots, in order, name the constructor's fields
 FIELDS = {
-    "LinearMap": ("ring", "a", "b"),
     "HeightGapConstant": ("B",),
     "HeightEstimate": ("value", "error_bound", "iterations"),
     "PruningData": ("u1", "u2", "c"),
