@@ -97,12 +97,11 @@ def _is_p_power(e: int, p: int) -> bool:
 class DynPoly(Frozen):
     """Sparse polynomial in x over K or an extension ring of K."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def make(cls, ring: Ring, terms: dict) -> "DynPoly":
@@ -141,17 +140,8 @@ class DynPoly(Frozen):
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DynPoly) and self.ring == other.ring
-                and self.terms == other.terms)
-
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, tuple(sorted(
-                (e, c) for e, c in self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def _check(self, other: "DynPoly") -> None:
         if self.ring != other.ring:

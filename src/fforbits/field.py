@@ -79,13 +79,19 @@ class Frozen:
     takes them positionally or by keyword, with defaults from the class
     mapping _defaults, and a missing or unknown field raises TypeError.
     Equality (same type, equal fields), hash and repr are over the fields
-    too.  A subclass with private state (a cached hash, tables)
-    writes its own __init__ with object.__setattr__, and may override the
-    comparisons.  After construction every attribute write or delete
-    raises.  Copying and pickling call the constructor again with the
-    fields as its arguments (a subclass where they differ overrides
-    __reduce__), so private caches such as a hash seeded by strings are
-    recomputed in the process that loads the value.
+    too, read by one operator.attrgetter per class.  No value caches its
+    hash.  FFPoly and DynPoly hash their terms dict as sorted items; any
+    other value with a dict field is unhashable.  The rings (FieldSpec,
+    KRing, ExtRing), which keep a hash computed at construction, and
+    FieldElem keep their own comparisons, since every arithmetic op
+    compares them.  A subclass writes its own __init__ with
+    object.__setattr__ when it holds private state (tables, that hash) or
+    is a hot value type (FFPoly, RatFunc, ExtElem, DynPoly, TwistedPoly),
+    which constructs faster by hand.  After construction every attribute
+    write or delete raises.  Copying and pickling call the constructor
+    again with the fields as its arguments (a subclass where they differ
+    overrides __reduce__), so a hash seeded by strings is recomputed in
+    the process that loads the value.
     """
 
     __slots__ = ()
@@ -96,6 +102,10 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__
                             if not name.startswith("_"))
+        get = operator.attrgetter(*cls._fields)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = (lambda self: (get(self),)) if len(cls._fields) == 1 \
+            else (lambda self: get(self))
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -115,9 +125,6 @@ class Frozen:
                 object.__setattr__(self, name, cls._defaults[name])
             else:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):

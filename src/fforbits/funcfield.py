@@ -11,7 +11,8 @@ overhangs the divisor by a wide gap.
 
 Rational functions are kept in the canonical reduced form: denominator monic
 and coprime to the numerator.  Two equal values are structurally equal, so
-__eq__ and __hash__ are structural and any element can key a dict.
+the structural equality and hash of field.Frozen hold for every value here
+(FFPoly hashes its terms as sorted items), and any element can key a dict.
 RatFunc.make normalizes an arbitrary pair; add and multiply keep reduced
 operands reduced by Henrici's rules (Knuth, TAOCP vol. 2, 4.5.1), taking
 gcds only of the factors that can share one.
@@ -69,14 +70,13 @@ class FFPoly(Frozen):
     nonzero coefficient, an int in [1, p) when r == 1 and a FieldElem
     otherwise."""
 
-    __slots__ = ("spec", "terms", "_hash")
+    __slots__ = ("spec", "terms")
 
     def __init__(self, spec: FieldSpec, terms: dict):
         # terms must already be canonical: nonzero coefficients, stored as
         # _coeff stores them
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
 
     # -- constructors -------------------------------------------------
 
@@ -138,16 +138,8 @@ class FFPoly(Frozen):
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), reverse=True)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FFPoly) and self.spec == other.spec
-                and self.terms == other.terms)
-
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.spec, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.spec, tuple(sorted(self.terms.items()))))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -293,12 +285,11 @@ def format_poly(poly: FFPoly, var: str) -> str:
 class RatFunc(Frozen):
     """Canonical fraction of FFPoly: monic denominator, gcd 1."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: FFPoly, den: FFPoly):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def make(cls, num: FFPoly, den: Optional[FFPoly] = None) -> "RatFunc":
@@ -367,17 +358,6 @@ class RatFunc(Frozen):
     def height(self) -> int:
         """Weil height: max degree of the reduced pair; 0 iff constant."""
         return max(self.num.degree, self.den.degree, 0)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RatFunc) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         # Henrici: with both operands reduced, only gcd(b, d) and then
@@ -552,12 +532,11 @@ class ExtRing(Frozen):
 
 
 class ExtElem(Frozen):
-    __slots__ = ("ring", "coeffs", "_hash")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: ExtRing, coeffs: tuple):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
 
     @property
     def spec(self) -> FieldSpec:
@@ -580,17 +559,6 @@ class ExtElem(Frozen):
         if not self.in_K():
             raise ValueError(f"{self} does not lie in the base field")
         return self.coeffs[0]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExtElem) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __add__(self, other: "ExtElem") -> "ExtElem":
         self._check(other)

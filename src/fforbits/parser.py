@@ -416,12 +416,6 @@ def _split_statements(text: str):
                 yield lineno, piece.strip()
 
 
-def _require(values: dict, key: str):
-    if key not in values:
-        raise ValidationError(key, f"missing required key '{key}'")
-    return values[key]
-
-
 def parse_scenario(text: str, overrides: Optional[dict] = None) -> Scenario:
     """Read and validate one scenario file.  overrides maps limit keys
     (capM, capN, degreeBudget, tauBudget, denomBound) to values that replace
@@ -491,52 +485,38 @@ def parse_scenario(text: str, overrides: Optional[dict] = None) -> Scenario:
                                   "expected on/off")
         common["prune"] = flag in ("on", "true")
 
-    if task == "verify-example":
-        example = _require(raw, "example")
-        params = {k: v for k, v in ints.items()
-                  if k in ("p", "r", "nmax", "pmax", "capM", "capN")}
-        return Scenario(example=example, params=params, **common)
-
-    try:
-        spec = FieldSpec.parse(_require(raw, "field"))
-    except ParseError as exc:
-        raise ValidationError("field", str(exc)) from None
-
-    budget = Budget(limits.get("degreeBudget"), limits.get("tauBudget"))
-    ext = None
-    if "ext" in raw:
-        try:
-            modulus = parse_modulus(raw["ext"], spec, budget)
-        except ParseError as exc:
-            raise ValidationError("ext", str(exc)) from None
-        ext = ExtRing(spec, modulus)
-
-    ctx = ParseContext(spec, ext, budget=budget)
-
-    def parsed(key, fn, required):
+    def parsed(key, fn, required=True):
         if key not in raw:
             if required:
                 raise ValidationError(key, f"missing required key '{key}'")
             return None
         try:
-            return fn(raw[key], ctx)
+            return fn(raw[key])
         except ParseError as exc:
             raise ValidationError(key, str(exc)) from None
 
+    if task == "verify-example":
+        params = {k: v for k, v in ints.items()
+                  if k in ("p", "r", "nmax", "pmax", "capM", "capN")}
+        return Scenario(example=parsed("example", str), params=params,
+                        **common)
+
+    spec = parsed("field", FieldSpec.parse)
+    budget = Budget(limits.get("degreeBudget"), limits.get("tauBudget"))
+    ext = parsed("ext", lambda text: ExtRing(
+        spec, parse_modulus(text, spec, budget)), required=False)
+    ctx = ParseContext(spec, ext, budget=budget)
     needs_g = task in ("intersect", "synchronized", "curve-return",
                        "classify")
-    f = parsed("f", parse_map, required=True)
-    g = parsed("g", parse_map, required=needs_g)
-    alpha = parsed("alpha", parse_scalar, required=True)
-    beta = parsed("beta", parse_scalar, required=needs_g)
+    f = parsed("f", lambda text: parse_map(text, ctx))
+    g = parsed("g", lambda text: parse_map(text, ctx), required=needs_g)
+    alpha = parsed("alpha", lambda text: parse_scalar(text, ctx))
+    beta = parsed("beta", lambda text: parse_scalar(text, ctx),
+                  required=needs_g)
     curve = None
     if task == "curve-return":
-        if "curve" not in raw:
-            raise ValidationError("curve", "missing required key 'curve'")
-        try:
-            curve = parse_curve(raw["curve"], spec, ext, budget)
-        except ParseError as exc:
-            raise ValidationError("curve", str(exc)) from None
+        curve = parsed("curve",
+                       lambda text: parse_curve(text, spec, ext, budget))
 
     if task == "synchronized":
         for key in ("r", "s"):

@@ -13,9 +13,9 @@ T-degree n corresponds to x-degree p^n; the default cap is 4096.
 
 A twisted polynomial is the same data as an additive polynomial in x
 (T^i standing for x^(p^i)); to_dynpoly / from_dynpoly convert between the
-two views, and evaluation goes through iterated p-th powers of the point.
-Over K, at a polynomial point with polynomial coefficients, the value
-sum c_i * N^(p^i) is formed as one sum of products (field.sparse_lincomb).
+two views.  Over K, at a polynomial point with polynomial coefficients,
+evaluation forms the value sum c_i * N^(p^i) as one sum of products
+(field.sparse_lincomb); at any other point it evaluates the DynPoly.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ Scalar = Union[RatFunc, ExtElem]
 
 
 class TwistedPoly(Frozen):
-    __slots__ = ("ring", "coeffs", "_hash")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: Ring, coeffs: tuple):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "TwistedPoly":
@@ -82,17 +81,6 @@ class TwistedPoly(Frozen):
 
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0].is_one()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TwistedPoly) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def _check(self, other: "TwistedPoly") -> None:
         if self.ring != other.ring:
@@ -145,43 +133,32 @@ class TwistedPoly(Frozen):
         return all(c.in_prime_field() for c in self.coeffs)
 
     def evaluate(self, point):
-        """Value of the additive polynomial this encodes, via iterated
-        p-th powers of the point."""
+        """Value of the additive polynomial this encodes.  Over K, at a
+        polynomial point with polynomial coefficients, one sum of products;
+        at any other point, to_dynpoly().evaluate."""
         ring = self.ring
-        if isinstance(ring, KRing) and isinstance(point, ExtElem) \
-                and point.spec == ring.spec:
-            return self.lift_to(point.ring).evaluate(point)
-        point = _scalar_in(ring, point)
-        if isinstance(ring, KRing) and point.is_poly():
-            # row i pairs c_i with N^(p^i); q = p^i runs across the rows
-            spec, terms, q, last, pairs = ring.spec, point.num.terms, 1, 0, []
-            for i, c in enumerate(self.coeffs):
-                if not (cs := c.num.terms):
-                    continue
-                if not c.is_poly():
-                    break
-                q, last = q * spec.p ** (i - last), i
-                pairs.append((cs, {e * q: a if spec.int_p else a.frobenius(i)
-                                   for e, a in terms.items()}))
-            else:
-                return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
-                    pairs, spec.int_p)))
-        # points with a denominator D, and points of an extension, keep the
-        # running sum: over the common denominator D^(p^d) term i would need
-        # D^(p^d - p^i), a dense product of d - i Frobenius images
-        acc = ring.zero()
-        v = point
-        for i, c in enumerate(self.coeffs):
-            if i:
-                v = v.frobenius()
-            if c:
-                acc = acc + c * v
-        return acc
-
-    def lift_to(self, ring: ExtRing) -> "TwistedPoly":
-        if not (isinstance(self.ring, KRing) and self.ring.spec == ring.spec):
-            raise RingMismatch("can only lift a twisted polynomial over K")
-        return TwistedPoly(ring, tuple(ring.from_K(c) for c in self.coeffs))
+        if isinstance(ring, KRing) and not isinstance(point, ExtElem):
+            point = _scalar_in(ring, point)
+            if point.is_poly():
+                # row i pairs c_i with N^(p^i); q = p^i runs across the rows
+                spec, terms, q, last = ring.spec, point.num.terms, 1, 0
+                pairs = []
+                for i, c in enumerate(self.coeffs):
+                    if not (cs := c.num.terms):
+                        continue
+                    if not c.is_poly():
+                        break
+                    q, last = q * spec.p ** (i - last), i
+                    pairs.append((cs, {e * q: a if spec.int_p
+                                       else a.frobenius(i)
+                                       for e, a in terms.items()}))
+                else:
+                    return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
+                        pairs, spec.int_p)))
+        # a point with a denominator D does not take the one sum: over the
+        # common denominator D^(p^d) term i would need D^(p^d - p^i), a
+        # dense product of d - i Frobenius images
+        return self.to_dynpoly().evaluate(point)
 
     def to_dynpoly(self) -> DynPoly:
         p = self.spec.p

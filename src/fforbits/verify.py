@@ -89,9 +89,7 @@ def _ext_field(p: int, r: int) -> FieldSpec:
 
 
 def _x_poly(spec: FieldSpec, terms: dict) -> DynPoly:
-    ring = KRing(spec)
-    return DynPoly.make(ring, {e: ring.from_int(c) if isinstance(c, int)
-                               else c for e, c in terms.items()})
+    return DynPoly.make(KRing(spec), terms)
 
 
 def _twists(pairs: list):

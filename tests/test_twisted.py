@@ -123,7 +123,7 @@ def test_evaluate_in_extension():
     spec = GF2
     one, t = RatFunc.one(spec), RatFunc.t(spec)
     ring = ExtRing(spec, [-t, -one, one])   # y^2 = y + t
-    a = tw(K2, [1, 1]).lift_to(ring)        # x + x^2 as tau-poly
+    a = tw(K2, [1, 1])                      # x + x^2 over K, lifted to y
     y = ring.y()
     assert a.evaluate(y) == y + y * y
 
@@ -166,7 +166,7 @@ def k_value(draw, spec, rational=False, max_deg=3):
 def evaluation_cases(draw):
     """(a, point, vanishes): polynomial points with polynomial
     coefficients (one sum), points and coefficients with denominators and
-    ExtElem points (the running sum), and coefficient pairs
+    ExtElem points (to_dynpoly().evaluate), and coefficient pairs
     c_i = -c_j * N^(p^j - p^i) whose terms cancel to 0 at the point N."""
     spec = draw(st.sampled_from([GF2, GF3, GF5, GF9]))
     ring = KRing(spec)

@@ -2,9 +2,11 @@
 The value types are immutable keys: no attribute can be written or deleted
 after construction, and copy, deepcopy and pickle (at every protocol, and
 across processes whose string hashes differ) give back an equal value with
-an equal hash (none, for a value with a dict field).  The types on the
-generic constructor of field.Frozen take their fields by position or
-keyword and refuse a missing or unknown one, as a dataclass does.
+an equal hash (none, for a value whose dict field field.Frozen refuses to
+hash).  The types on the generic constructor of field.Frozen take their
+fields by position or keyword and refuse a missing or unknown one, as a
+dataclass does.  Equality and hash are Frozen's: same type, equal fields,
+with FFPoly and DynPoly hashing their terms in sorted order.
 """
 import copy
 import os
@@ -15,15 +17,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import fforbits
+from fforbits.dynpoly import DynPoly
 from fforbits.field import FieldSpec
-from fforbits.funcfield import ExtRing, FFPoly, KRing, RatFunc
+from fforbits.funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 from fforbits.heights import (PruningData, canonical_height,
                               height_gap_constant)
 from fforbits.orbits import ReturnModel, intersect_orbits
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_map,
                              parse_modulus, parse_scalar, parse_scenario)
+from fforbits.twisted import TwistedPoly
 from fforbits.verify import CheckResult
 
 GF3 = FieldSpec(3)
@@ -154,15 +160,15 @@ ext = ExtRing(spec, parse_modulus("y^2 + y + t", spec))
 values = [parse_map("x^2 + 1/t", ParseContext(spec)),
           parse_scalar("t*y + 1/(t + 1)", ParseContext(spec, ext))]
 for v in values:
-    hash(v)  # fill the cached hash before pickling
+    hash(v)  # hashed under this process's seed before pickling
 sys.stdout.buffer.write(pickle.dumps(values))
 """
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_values_pickled_in_another_process_key_dicts(seed):
-    """A hash seeded by strings differs between processes, so a loaded
-    value must not bring its cached hash along."""
+    """A hash seeded by strings differs between processes, so a value
+    hashed and pickled in one must key dicts by the hash of the other."""
     src = str(Path(fforbits.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -176,3 +182,39 @@ def test_values_pickled_in_another_process_key_dicts(seed):
     for old, new in zip(loaded, fresh):
         assert old in {new: True}
         assert new in {old: True}
+
+
+@st.composite
+def terms_in_two_orders(draw):
+    """A field and at least two terms (exponent, nonzero coefficient), to
+    be inserted in their drawn order and in reverse."""
+    spec = draw(st.sampled_from([GF3, GF4, FieldSpec(5)]))
+    nonzero = [c for c in spec.all_elements() if c]
+    items = draw(st.lists(st.tuples(st.integers(0, 2 ** 70),
+                                    st.sampled_from(nonzero)),
+                          min_size=2, max_size=6,
+                          unique_by=lambda item: item[0]))
+    return spec, items
+
+
+@given(case=terms_in_two_orders())
+@settings(max_examples=60, deadline=None)
+def test_values_compare_and_hash_by_type_and_fields(case):
+    """FFPoly and DynPoly hash their terms whatever order the dict keeps
+    them in, and two types with the same fields are never equal."""
+    spec, items = case
+    ring = KRing(spec)
+    k_items = [(e, RatFunc.constant(spec, c)) for e, c in items]
+    for a, b in [(FFPoly.make(spec, dict(items)),
+                  FFPoly.make(spec, dict(items[::-1]))),
+                 (DynPoly.make(ring, dict(k_items)),
+                  DynPoly.make(ring, dict(k_items[::-1])))]:
+        assert list(a.terms) != list(b.terms)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
+    one, t = RatFunc.one(spec), RatFunc.t(spec)
+    ext = ExtRing(spec, (t, one, one))  # y^2 + y + t
+    coeffs = (RatFunc.from_poly(FFPoly.make(spec, dict(items))), one)
+    twisted, elem = TwistedPoly(ext, coeffs), ExtElem(ext, coeffs)
+    assert twisted != elem and elem != twisted
+    assert elem not in {twisted: 1} and twisted not in {elem: 1}
