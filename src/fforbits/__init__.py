@@ -23,8 +23,8 @@ from .dynpoly import (DEFAULT_DEGREE_BUDGET, DEFAULT_TAU_BUDGET, Budget,
                       orbit_element, orbit_prefix, solve_affine_conjugacy,
                       walk)
 from .twisted import TwistedPoly, twisted_pow
-from .heights import (HeightEstimate, HeightGapConstant, PruningData,
-                      canonical_height, derive_pruning, height_gap_constant,
+from .heights import (HeightEstimate, PruningData, canonical_height,
+                      derive_pruning, height_gap_constant,
                       multiplicative_dependence, pruned_candidates,
                       rationalize)
 from .orbits import (PlaneCurve, ReturnModel, ReturnSet,

@@ -107,7 +107,7 @@ def run_scenario(sc: Scenario) -> dict:
         gap = height_gap_constant(f)
         est = canonical_height(f, sc.alpha, sc.target_error, gap)
         rat = rationalize(est, sc.denominator_bound)
-        report["gapConstant"] = str(gap.B)
+        report["gapConstant"] = str(gap)
         report["height"] = {"value": str(est.value),
                             "errorBound": str(est.error_bound),
                             "iterations": est.iterations}

@@ -80,11 +80,11 @@ class Frozen:
     mapping _defaults, and a missing or unknown field raises TypeError.
     Equality (same type, equal fields), hash and repr are over the fields
     too, read by one operator.attrgetter per class.  No value caches its
-    hash.  FFPoly and DynPoly hash their terms dict as sorted items; any
-    other value with a dict field is unhashable.  The rings (FieldSpec,
-    KRing, ExtRing), which keep a hash computed at construction, and
-    FieldElem keep their own comparisons, since every arithmetic op
-    compares them.  A subclass writes its own __init__ with
+    hash.  FFPoly, DynPoly and TwistedPoly hash their terms as sorted
+    items; any other value with a dict field is unhashable.  The rings
+    (FieldSpec, KRing, ExtRing), which keep a hash computed at
+    construction, and FieldElem keep their own comparisons, since every
+    arithmetic op compares them.  A subclass writes its own __init__ with
     object.__setattr__ when it holds private state (tables, that hash) or
     is a hot value type (FFPoly, RatFunc, ExtElem, DynPoly, TwistedPoly),
     which constructs faster by hand.  After construction every attribute
@@ -310,16 +310,21 @@ def _parse_modulus(text: str, p: int, r: int) -> tuple:
             raise ParseError(f"empty term in modulus {text!r}")
         c, e = 1, 0
         body = raw
-        if "*" in body:
-            c_text, body = body.split("*", 1)
-            c = int(c_text)
-        if body.startswith("w"):
-            tail = body[1:]
-            e = 1 if not tail else int(tail.lstrip("^") or "1")
-            if tail and not tail.startswith("^"):
-                raise ParseError(f"bad modulus term {raw!r}")
-        elif body:
-            c, e = c * int(body), 0
+        try:
+            if "*" in body:
+                c_text, body = body.split("*", 1)
+                c = int(c_text)
+            if body.startswith("w"):
+                tail = body[1:]
+                e = 1 if not tail else int(tail.lstrip("^") or "1")
+                if tail and not tail.startswith("^"):
+                    e = -1
+            elif body:
+                c, e = c * int(body), 0
+        except ValueError:  # a coefficient or exponent that is no int
+            e = -1
+        if e < 0:
+            raise ParseError(f"bad modulus term {raw!r}")
         if e > r:
             raise ParseError(f"modulus degree exceeds {r}")
         coeffs[e] = (coeffs.get(e, 0) + c) % p

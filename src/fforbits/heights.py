@@ -20,12 +20,6 @@ from .funcfield import FFPoly, KRing, RatFunc
 DEFAULT_TARGET_ERROR = Fraction(1, 64)
 
 
-class HeightGapConstant(Frozen):
-    """The int B with |h(f(gamma)) - d*h(gamma)| <= B for every gamma in K."""
-
-    __slots__ = ("B",)
-
-
 class HeightEstimate(Frozen):
     """value = h(f^N(gamma)) / d^N, a Fraction within the Fraction
     error_bound of the canonical height, where N = iterations."""
@@ -39,8 +33,9 @@ class HeightEstimate(Frozen):
         return f"{self.value} +/- {self.error_bound} (N={self.iterations})"
 
 
-def height_gap_constant(f: DynPoly) -> HeightGapConstant:
-    """A proven two-sided bound on the height defect of one application of f.
+def height_gap_constant(f: DynPoly) -> int:
+    """A proven two-sided bound on the height defect of one application of
+    f: the int B with |h(f(gamma)) - d*h(gamma)| <= B for every gamma in K.
 
     Write f = sum c_i x^i with leading coefficient c_d, and work place by
     place on K (monic irreducibles and the degree at infinity), where
@@ -72,16 +67,16 @@ def height_gap_constant(f: DynPoly) -> HeightGapConstant:
         b_up += c.height()
         if e < d:
             b_down += d * (lead / c).height()
-    return HeightGapConstant(max(b_up, b_down))
+    return max(b_up, b_down)
 
 
 def canonical_height(f: DynPoly, gamma: RatFunc,
                      target_error: Fraction = DEFAULT_TARGET_ERROR,
-                     gap: Optional[HeightGapConstant] = None
+                     gap: Optional[int] = None
                      ) -> HeightEstimate:
     """Estimate lim h(f^n(gamma))/d^n with the smallest N whose guaranteed
     error B/(d^N (d-1)) meets target_error; orbit_height gives h(f^N(gamma)).
-    B is gap.B, height_gap_constant(f).B when gap is None.
+    B is gap, height_gap_constant(f) when gap is None.
 
     The bound telescopes: |h(f^{n+1} x)/d^{n+1} - h(f^n x)/d^n| <= B/d^{n+1},
     and the geometric tail from N sums to B/(d^N (d-1)).
@@ -89,7 +84,7 @@ def canonical_height(f: DynPoly, gamma: RatFunc,
     d = f.degree
     if d < 2:
         raise ValueError("needs degree >= 2")
-    b = (height_gap_constant(f) if gap is None else gap).B
+    b = height_gap_constant(f) if gap is None else gap
     target = Fraction(target_error)
     n = 0
     if b:
@@ -288,8 +283,8 @@ def derive_pruning(f: DynPoly, alpha: RatFunc, g: DynPoly, beta: RatFunc,
     ends = (f^cap_m(alpha), g^cap_n(beta)), no orbit is walked here.
     """
     d, e = f.degree, g.degree
-    bf = height_gap_constant(f).B
-    bg = height_gap_constant(g).B
+    bf = height_gap_constant(f)
+    bg = height_gap_constant(g)
     h1, h2 = (end.height() for end in ends) if ends else (
         orbit_height(f, alpha, cap_m), orbit_height(g, beta, cap_n))
     u1 = Fraction(h1, d ** cap_m)

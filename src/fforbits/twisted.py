@@ -1,8 +1,8 @@
 """The twisted polynomial ring K{T} with the rule T*c = c^p * T.
 
-Elements are stored densely (coefficient tuple, ascending T-degree), which
-is the right shape here: products and powers fill in low terms quickly, and
-the T-degree budget keeps tuples short.  Multiplication follows
+Elements are stored sparsely, as every polynomial of the package is: terms
+maps each T-degree to its nonzero coefficient, and sums, products and
+values go through field's shared kernels.  Multiplication follows
 
     (sum a_i T^i) * (sum b_j T^j) = sum_i sum_j a_i * b_j^(p^i) * T^(i+j)
 
@@ -24,8 +24,8 @@ import operator
 from typing import Optional, Union
 
 from .errors import NotAdditive, RingMismatch
-from .field import (FieldSpec, Frozen, format_terms, power, sparse_lincomb,
-                    sparse_mul)
+from .field import (FieldSpec, Frozen, format_terms, power, sparse_add,
+                    sparse_lincomb, sparse_mul, sparse_neg, sparse_terms)
 from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
 
 from .dynpoly import Budget, DynPoly, is_additive, _scalar_in
@@ -35,38 +35,36 @@ Scalar = Union[RatFunc, ExtElem]
 
 
 class TwistedPoly(Frozen):
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: Ring, coeffs: tuple):
+    def __init__(self, ring: Ring, terms: dict):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "TwistedPoly":
-        cs = [_scalar_in(ring, c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        return cls(ring, tuple(cs))
+        """From dense coefficients, lowest T-degree first; zeros drop."""
+        return cls(ring, sparse_terms(_scalar_in(ring, c) for c in coeffs))
 
     @classmethod
     def zero(cls, ring: Ring) -> "TwistedPoly":
-        return cls(ring, ())
+        return cls(ring, {})
 
     @classmethod
     def one(cls, ring: Ring) -> "TwistedPoly":
-        return cls(ring, (ring.one(),))
+        return cls(ring, {0: ring.one()})
 
     @classmethod
     def constant(cls, ring: Ring, c) -> "TwistedPoly":
         c = _scalar_in(ring, c)
-        return cls(ring, (c,) if c else ())
+        return cls(ring, {0: c} if c else {})
 
     @classmethod
     def tau(cls, ring: Ring, k: int = 1) -> "TwistedPoly":
         """The monomial T^k."""
         if k < 0:
             raise ValueError("negative T-degree")
-        return cls(ring, (ring.zero(),) * k + (ring.one(),))
+        return cls(ring, {k: ring.one()})
 
     @property
     def spec(self) -> FieldSpec:
@@ -74,13 +72,13 @@ class TwistedPoly(Frozen):
 
     @property
     def tau_degree(self) -> int:
-        return len(self.coeffs) - 1
+        return max(self.terms, default=-1)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+    def __hash__(self) -> int:
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def _check(self, other: "TwistedPoly") -> None:
         if self.ring != other.ring:
@@ -88,49 +86,31 @@ class TwistedPoly(Frozen):
 
     def __add__(self, other: "TwistedPoly") -> "TwistedPoly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        while out and not out[-1]:
-            out.pop()
-        return TwistedPoly(self.ring, tuple(out))
+        return TwistedPoly(self.ring, sparse_add(self.terms, other.terms))
 
     def __neg__(self) -> "TwistedPoly":
-        return TwistedPoly(self.ring, tuple(-c for c in self.coeffs))
+        return TwistedPoly(self.ring, sparse_neg(self.terms))
 
     def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
         return self + (-other)
 
     def __mul__(self, other: "TwistedPoly") -> "TwistedPoly":
         self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return TwistedPoly.zero(self.ring)
-        zero = self.ring.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        shifted = list(other.coeffs)  # holds b^(p^i) for the current row i
-        last = 0
-        for i, ai in enumerate(self.coeffs):
-            if not ai:
-                continue
+        # row i pairs a_i T^i with b^(p^i), twisted from the row before
+        rows, shifted, last = [], other.terms, 0
+        for i in sorted(self.terms):
             if i > last:
-                gap = i - last
-                shifted = [c.frobenius(gap) for c in shifted]
+                shifted = {j: c.frobenius(i - last)
+                           for j, c in shifted.items()}
                 last = i
-            for j, bj in enumerate(shifted):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        while out and not out[-1]:
-            out.pop()
-        return TwistedPoly(self.ring, tuple(out))
+            rows.append(({i: self.terms[i]}, shifted))
+        return TwistedPoly(self.ring, sparse_lincomb(rows))
 
     def __pow__(self, n: int) -> "TwistedPoly":
         return twisted_pow(self, n)
 
     def all_prime_field(self) -> bool:
-        return all(c.in_prime_field() for c in self.coeffs)
+        return all(c.in_prime_field() for c in self.terms.values())
 
     def evaluate(self, point):
         """Value of the additive polynomial this encodes.  Over K, at a
@@ -143,15 +123,14 @@ class TwistedPoly(Frozen):
                 # row i pairs c_i with N^(p^i); q = p^i runs across the rows
                 spec, terms, q, last = ring.spec, point.num.terms, 1, 0
                 pairs = []
-                for i, c in enumerate(self.coeffs):
-                    if not (cs := c.num.terms):
-                        continue
+                for i in sorted(self.terms):
+                    c = self.terms[i]
                     if not c.is_poly():
                         break
                     q, last = q * spec.p ** (i - last), i
-                    pairs.append((cs, {e * q: a if spec.int_p
-                                       else a.frobenius(i)
-                                       for e, a in terms.items()}))
+                    pairs.append((c.num.terms, {e * q: a if spec.int_p
+                                                else a.frobenius(i)
+                                                for e, a in terms.items()}))
                 else:
                     return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
                         pairs, spec.int_p)))
@@ -162,8 +141,7 @@ class TwistedPoly(Frozen):
 
     def to_dynpoly(self) -> DynPoly:
         p = self.spec.p
-        return DynPoly(self.ring,
-                       {p ** i: c for i, c in enumerate(self.coeffs) if c})
+        return DynPoly(self.ring, {p ** i: c for i, c in self.terms.items()})
 
     @classmethod
     def from_dynpoly(cls, f: DynPoly) -> "TwistedPoly":
@@ -177,15 +155,10 @@ class TwistedPoly(Frozen):
                 e //= p
                 i += 1
             rows[i] = c
-        if not rows:
-            return cls.zero(f.ring)
-        top = max(rows)
-        zero = f.ring.zero()
-        return cls(f.ring, tuple(rows.get(i, zero) for i in range(top + 1)))
+        return cls(f.ring, rows)
 
     def __str__(self) -> str:
-        return format_terms(dict(enumerate(self.coeffs)), "T",
-                            descending=False)
+        return format_terms(self.terms, "T", descending=False)
 
     def __repr__(self) -> str:
         return f"TwistedPoly({self})"
@@ -217,15 +190,12 @@ def _prime_field_pow(a: TwistedPoly, n: int) -> TwistedPoly:
     # commutative case: work in GF(p)[T] on plain ints, using that the
     # p-th power just dilates exponents (coefficients are Frobenius-fixed)
     p = a.spec.p
-    base = {i: _prime_int(c) for i, c in enumerate(a.coeffs) if c}
+    base = {i: _prime_int(c) for i, c in a.terms.items()}
     acc = power(base, n, lambda x, y: sparse_mul(x, y, p),
                 lambda x, k: {e * p ** k: v for e, v in x.items()}, p)
     ring = a.ring
     scalars = [ring.from_int(v) for v in range(p)]
-    coeffs = [scalars[0]] * (max(acc) + 1)
-    for i, v in acc.items():
-        coeffs[i] = scalars[v]
-    return TwistedPoly(ring, tuple(coeffs))
+    return TwistedPoly(ring, {i: scalars[v] for i, v in acc.items()})
 
 
 def _prime_int(c) -> int:

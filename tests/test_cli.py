@@ -95,12 +95,12 @@ def test_public_names():
         "AlgebraError", "Budget", "BudgetExceeded", "CheckResult",
         "DEFAULT_DEGREE_BUDGET", "DEFAULT_TAU_BUDGET", "DegreeBudgetExceeded",
         "DivisionByZero", "DynPoly", "ExtElem", "ExtRing", "FFPoly",
-        "FieldElem", "FieldSpec", "HeightEstimate", "HeightGapConstant",
-        "KRing", "MixedVariables", "NotAdditive", "ParseContext", "ParseError",
-        "PlaneCurve", "PruningData", "RatFunc", "ReducibleModulus",
-        "ReturnModel", "ReturnSet", "RingMismatch", "Scenario",
-        "TauDegreeBudgetExceeded", "TwistedPoly", "UndefinedSymbol",
-        "ValidationError", "ZeroDivisor", "ap_implies_common_iterate",
+        "FieldElem", "FieldSpec", "HeightEstimate", "KRing", "MixedVariables",
+        "NotAdditive", "ParseContext", "ParseError", "PlaneCurve",
+        "PruningData", "RatFunc", "ReducibleModulus", "ReturnModel",
+        "ReturnSet", "RingMismatch", "Scenario", "TauDegreeBudgetExceeded",
+        "TwistedPoly", "UndefinedSymbol", "ValidationError", "ZeroDivisor",
+        "ap_implies_common_iterate",
         "binom_mod", "canonical_height", "common_iterate", "conjugate",
         "curve_return_set", "derive_pruning", "dynpoly", "errors", "field",
         "fit_return_model", "funcfield", "height_gap_constant", "heights",
@@ -386,6 +386,19 @@ def test_exit_invalid_on_malformed_scenario(tmp_path, capsys):
     sc = write(tmp_path, "bad.txt", "this is not a scenario")
     rc, _, _ = run_cli(capsys, "--scenario", sc)
     assert rc == EXIT_INVALID
+
+
+@pytest.mark.parametrize("mod", ["w^-1+w^2", "w^2+x+1", "w^2+2*3*w+1"])
+def test_exit_invalid_on_bad_modulus_term(tmp_path, capsys, mod):
+    """A modulus term with a negative exponent or a number that is no int
+    is invalid input under the field key, not a different field."""
+    sc = write(tmp_path, "mod.txt",
+               f"field = GF(9; mod={mod})\nf = x^2 + t; alpha = t\n"
+               "task = heights\n")
+    rc, out, err = run_cli(capsys, "--scenario", sc)
+    assert rc == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("invalid input: field: bad modulus term ")
 
 
 def test_exit_invalid_on_missing_g(tmp_path, capsys):

@@ -89,7 +89,7 @@ def test_parse_twisted_operator():
     a = parse_expr("T^2 + t*T + 1", CTX3)
     assert isinstance(a, TwistedPoly)
     assert a.tau_degree == 2
-    assert a.coeffs[1] == RatFunc.t(GF3)
+    assert a.terms[1] == RatFunc.t(GF3)
 
 
 def test_twisted_times_scalar_twists():

@@ -6,7 +6,7 @@ an equal hash (none, for a value whose dict field field.Frozen refuses to
 hash).  The types on the generic constructor of field.Frozen take their
 fields by position or keyword and refuse a missing or unknown one, as a
 dataclass does.  Equality and hash are Frozen's: same type, equal fields,
-with FFPoly and DynPoly hashing their terms in sorted order.
+with FFPoly, DynPoly and TwistedPoly hashing their terms in sorted order.
 """
 import copy
 import os
@@ -23,9 +23,8 @@ import hypothesis.strategies as st
 import fforbits
 from fforbits.dynpoly import DynPoly
 from fforbits.field import FieldSpec
-from fforbits.funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
-from fforbits.heights import (PruningData, canonical_height,
-                              height_gap_constant)
+from fforbits.funcfield import ExtRing, FFPoly, KRing, RatFunc
+from fforbits.heights import PruningData, canonical_height
 from fforbits.orbits import ReturnModel, intersect_orbits
 from fforbits.parser import (ParseContext, Scenario, parse_curve, parse_map,
                              parse_modulus, parse_scalar, parse_scenario)
@@ -57,7 +56,6 @@ VALUES = {
     "DynPoly over ext": parse_map("y*x^3 + t", CTX_EXT),
     "TwistedPoly": parse_map("t*T^2 + T", CTX3),
     "PlaneCurve": parse_curve("x1^2 - t*x2", GF3, None),
-    "HeightGapConstant": height_gap_constant(F),
     "HeightEstimate": canonical_height(F, T),
     "PruningData": PruningData(Fraction(1, 3), Fraction(-2), Fraction(5)),
     "ReturnSet": intersect_orbits(F, T, F, T, 3, 3),
@@ -69,7 +67,6 @@ VALUES = {
 UNHASHABLE = {"PlaneCurve", "CheckResult"}
 # the public slots, in order, name the constructor's fields
 FIELDS = {
-    "HeightGapConstant": ("B",),
     "HeightEstimate": ("value", "error_bound", "iterations"),
     "PruningData": ("u1", "u2", "c"),
     "ReturnSet": ("pairs", "cap_m", "cap_n", "exhaustive"),
@@ -200,21 +197,23 @@ def terms_in_two_orders(draw):
 @given(case=terms_in_two_orders())
 @settings(max_examples=60, deadline=None)
 def test_values_compare_and_hash_by_type_and_fields(case):
-    """FFPoly and DynPoly hash their terms whatever order the dict keeps
-    them in, and two types with the same fields are never equal."""
+    """FFPoly, DynPoly and TwistedPoly hash their terms whatever order the
+    dict keeps them in, and two types with the same fields (a DynPoly and
+    a TwistedPoly of the same ring and terms, which hash alike) are never
+    equal."""
     spec, items = case
     ring = KRing(spec)
     k_items = [(e, RatFunc.constant(spec, c)) for e, c in items]
     for a, b in [(FFPoly.make(spec, dict(items)),
                   FFPoly.make(spec, dict(items[::-1]))),
                  (DynPoly.make(ring, dict(k_items)),
-                  DynPoly.make(ring, dict(k_items[::-1])))]:
+                  DynPoly.make(ring, dict(k_items[::-1]))),
+                 (TwistedPoly(ring, dict(k_items)),
+                  TwistedPoly(ring, dict(k_items[::-1])))]:
         assert list(a.terms) != list(b.terms)
         assert a == b and hash(a) == hash(b)
         assert {a: "a"}[b] == "a" and {b: "b"}[a] == "b"
-    one, t = RatFunc.one(spec), RatFunc.t(spec)
-    ext = ExtRing(spec, (t, one, one))  # y^2 + y + t
-    coeffs = (RatFunc.from_poly(FFPoly.make(spec, dict(items))), one)
-    twisted, elem = TwistedPoly(ext, coeffs), ExtElem(ext, coeffs)
-    assert twisted != elem and elem != twisted
-    assert elem not in {twisted: 1} and twisted not in {elem: 1}
+    terms = dict(k_items)
+    twisted, dyn = TwistedPoly(ring, terms), DynPoly(ring, terms)
+    assert twisted != dyn and dyn != twisted
+    assert dyn not in {twisted: 1} and twisted not in {dyn: 1}
