@@ -17,13 +17,16 @@ multiplications spent; its T-degree cap bounds twisted powers.  Running out
 raises DegreeBudgetExceeded or TauDegreeBudgetExceeded rather than grinding
 away.  A scenario run builds one Budget from its limits and every
 expression of the file draws on it; an entry point called without one gets
-a fresh default Budget for that call.  Pointwise orbits are walked only by
-walk, the one loop that evaluates a map point after point; it is not
-metered yet.
+a fresh default Budget for that call.  Orbits are walked by walk, the one
+loop that evaluates a map point after point, or, for an affine-additive
+map over GF(p) with F_p coefficients and polynomial data, by walk_keys,
+which steps the point's Frobenius coordinates instead; neither is metered
+yet.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, Optional, Union
 
@@ -86,12 +89,13 @@ def _scalar_in(ring: Ring, value) -> Scalar:
     raise RingMismatch(f"{value!r} is not a scalar of {ring!r}")
 
 
-def _is_p_power(e: int, p: int) -> bool:
-    if e < 1:
-        return False
+def _p_split(e: int, p: int) -> tuple:
+    """(j, k) with e = j * p^k and p not dividing j, for e >= 1."""
+    k = 0
     while e % p == 0:
         e //= p
-    return e == 1
+        k += 1
+    return e, k
 
 
 class DynPoly(Frozen):
@@ -298,19 +302,130 @@ def _poly_power(g: DynPoly, e: int, budget: Budget, cache: dict) -> DynPoly:
     return out
 
 
-def walk(f: DynPoly, start) -> Iterator:
-    """start, f(start), f^2(start), ...: each point is evaluated only when
-    asked for, so a capped consumer never evaluates past its cap.  An int
-    start is read in the ring of f."""
+def _orbit_start(f: DynPoly, start):
+    """What every orbit walk holds to: f has degree >= 1, and an int start
+    is read in the ring of f."""
     if f.degree < 1:
         raise ValueError("orbits need degree >= 1")
-    if isinstance(start, int):
-        start = f.ring.from_int(start)
+    return f.ring.from_int(start) if isinstance(start, int) else start
+
+
+def walk(f: DynPoly, start) -> Iterator:
+    """start, f(start), f^2(start), ...: each point is evaluated only when
+    asked for, so a capped consumer never evaluates past its cap."""
+    start = _orbit_start(f, start)
     # f.evaluate is looked up at each step, so a patched or wrapped
     # evaluate sees every step
     return itertools.accumulate(itertools.repeat(f),
                                 lambda point, f: f.evaluate(point),
                                 initial=start)
+
+
+def walk_keys(f: DynPoly, start) -> Optional[Iterator]:
+    """The keys of start, f(start), f^2(start), ..., each computed only when
+    asked for, two keys being equal exactly when their points are; or None
+    for an orbit not of the kind below, which only walk walks.
+
+    The kind: K = GF(p)(t), f = sum_i l_i x^(p^i) + gamma with every l_i in
+    F_p, gamma and the start in F_p[t], and (p - 1)(sum_i l_i + 1) < 256.
+    Each exponent n >= 1 of a point is j*p^k for one j prime to p, and
+    x^(p^i) sends a*t^(j p^k) to a*t^(j p^(k+i)) and fixes the constant
+    term.  So a point is its constant term c0 and, for each j, the
+    polynomial A_j = sum_k a_(j p^k) T^k of F_p[T] (Frobenius coordinates,
+    Goss, Basic Structures of Function Field Arithmetic, ch. 1), and f
+    acts by c0 -> (sum_i l_i) c0 + gamma_0 and A_j -> sum_i l_i T^i A_j +
+    G_j, where G_j are gamma's coordinates.  A key is (c0, ((j, A_j),
+    ...)) over the nonzero A_j in ascending j, each A_j an int whose byte
+    k holds the coefficient of T^k; the bound keeps every byte of a step's
+    sum below 256, so no slot carries before the sum is reduced mod p.
+    """
+    start = _orbit_start(f, start)
+    shape = _key_shape(f)
+    start = shape and key_of(start, f.spec)
+    if not start:
+        return None
+    return itertools.accumulate(itertools.repeat(shape), _key_step,
+                                initial=start)
+
+
+def _key_shape(f: DynPoly) -> Optional[tuple]:
+    """(L, L(1), the key of gamma, p) for a map of the kind walk_keys
+    walks, with L = sum_i l_i T^i packed as the A_j are; else None."""
+    spec, gamma = f.spec, f.terms.get(0)
+    p = spec.int_p if isinstance(f.ring, KRing) else 0
+    if not p or (gamma is not None and not gamma.is_poly()):
+        return None
+    lin = one = 0
+    for e, c in f.terms.items():
+        if e:
+            j, i = _p_split(e, p)
+            if j != 1 or not c.is_constant():
+                return None
+            lin |= c.num.terms[0] << 8 * i
+            one += c.num.terms[0]
+    if (p - 1) * (one + 1) > 255:
+        return None
+    return lin, one, key_of(gamma, spec) if gamma else (0, ()), p
+
+
+def _key_step(key: tuple, shape: tuple) -> tuple:
+    """The key of f(point) from the key of the point: one step of
+    walk_keys."""
+    lin, one, gamma, p = shape
+    return combine_keys(((lin, one, key), (1, 1, gamma)), p)
+
+
+def key_of(x, spec: FieldSpec) -> Optional[tuple]:
+    """The walk_keys key of x when x is in F_p[t] for spec = GF(p), else
+    None."""
+    if not (isinstance(x, RatFunc) and x.spec == spec and x.is_poly()):
+        return None
+    p, coords = spec.int_p, {}
+    for e, c in x.num.terms.items():
+        if e:
+            j, k = _p_split(e, p)
+            coords[j] = coords.get(j, 0) | c << 8 * k
+    return x.num.terms.get(0, 0), tuple(sorted(coords.items()))
+
+
+def point_of(key: tuple, spec: FieldSpec) -> RatFunc:
+    """The point of F_p[t] whose walk_keys key is key."""
+    c0, coords = key
+    p = spec.int_p
+    terms = {0: c0} if c0 else {}
+    for j, a in coords:
+        for k, c in enumerate(a.to_bytes((a.bit_length() + 7) // 8,
+                                         "little")):
+            if c:
+                terms[j * p ** k] = c
+    return RatFunc.from_poly(FFPoly(spec, terms))
+
+
+@functools.lru_cache(maxsize=None)
+def _mod_p_bytes(p: int) -> bytes:
+    """The bytes.translate table that reduces each byte mod p."""
+    return bytes(v % p for v in range(256))
+
+
+def combine_keys(terms, p: int) -> tuple:
+    """The key of sum_i m_i(T) x_i over the (m_i, m_i(1), key of x_i) in
+    terms, each m_i in F_p[T] packed as the A_j are.  T fixes c0 and moves
+    every slot one byte up, so m(T) multiplies c0 by m(1) and each A_j by
+    m, one int product that no slot carries out of while the caller keeps
+    each byte of the sum below 256."""
+    c0, acc = 0, {}
+    for m, m1, (b0, coords) in terms:
+        c0 += m1 * b0
+        for j, a in coords:
+            acc[j] = acc.get(j, 0) + m * a
+    table, out = _mod_p_bytes(p), []
+    for j in sorted(acc):
+        a = acc[j]
+        a = int.from_bytes(a.to_bytes((a.bit_length() + 7) // 8, "little")
+                           .translate(table), "little")
+        if a:
+            out.append((j, a))
+    return c0 % p, tuple(out)
 
 
 def orbit_element(f: DynPoly, start, n: int):
@@ -341,7 +456,7 @@ def conjugate(f: DynPoly, delta, budget: Optional[Budget] = None) -> DynPoly:
 def is_additive(f: DynPoly) -> bool:
     """True iff every exponent is a power of p (so f(x+y) = f(x)+f(y))."""
     p = f.spec.p
-    return all(_is_p_power(e, p) for e in f.terms)
+    return all(e >= 1 and _p_split(e, p)[0] == 1 for e in f.terms)
 
 
 def solve_affine_conjugacy(f: DynPoly, gamma: RatFunc) -> Scalar:

@@ -315,10 +315,9 @@ def _parse_modulus(text: str, p: int, r: int) -> tuple:
                 c_text, body = body.split("*", 1)
                 c = int(c_text)
             if body.startswith("w"):
+                # w alone, or w^ and one int
                 tail = body[1:]
-                e = 1 if not tail else int(tail.lstrip("^") or "1")
-                if tail and not tail.startswith("^"):
-                    e = -1
+                e = int(tail[1:]) if tail[:1] == "^" else -1 if tail else 1
             elif body:
                 c, e = c * int(body), 0
         except ValueError:  # a coefficient or exponent that is no int

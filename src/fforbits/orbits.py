@@ -1,10 +1,12 @@
 """Orbit intersection and the shape of return sets.
 
-The search primitives are exact and pointwise: orbits are walked by repeated
-evaluation through dynpoly.walk, collisions are found by keying a dict with
-the points themselves (hash and equality are structural on canonical forms,
-so a dict hit is a structural match), and an optional height sieve then
-tests each pair found; with sound height data it admits every true
+The search primitives are exact: orbits are walked by dynpoly.walk_keys
+when both have Frobenius coordinates (affine-additive maps over GF(p) with
+F_p coefficients and polynomial data) and by repeated evaluation through
+dynpoly.walk otherwise.  Collisions are found by keying a dict with those
+keys or with the points themselves; either is canonical, so a dict hit is
+an equality of points.  An optional height sieve then tests each pair
+found, given the end points; with sound height data it admits every true
 collision.
 
 fit_return_model classifies a finite slice of a return set into the shapes
@@ -20,7 +22,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
-from .dynpoly import Budget, DynPoly, walk
+from .dynpoly import (Budget, DynPoly, combine_keys, key_of, point_of,
+                      walk, walk_keys)
 from .errors import RingMismatch
 from .field import Frozen, sparse_add, sparse_neg
 from .heights import PruningData
@@ -40,29 +43,43 @@ class ReturnSet(Frozen):
         return f"{{{inside}}} for m <= {self.cap_m}, n <= {self.cap_n}"
 
 
+def _orbits(f: DynPoly, alpha, g: DynPoly, beta) -> tuple:
+    """The walk_keys of both orbits and True when both have keys in one
+    ring, else their walks and False."""
+    if f.ring == g.ring:
+        keys = walk_keys(f, alpha), walk_keys(g, beta)
+        if None not in keys:
+            return keys + (True,)
+    return walk(f, alpha), walk(g, beta), False
+
+
 def intersect_orbits(f: DynPoly, alpha, g: DynPoly, beta,
                      cap_m: int, cap_n: int,
                      pruning: Union[PruningData, Callable, None] = None
                      ) -> ReturnSet:
     """All (m, n) within the caps where the two orbits meet.
 
-    f's orbit is indexed in a dict keyed by its points, and g's orbit is
-    streamed against that index; with pruning, only the joined pairs that
-    the height sieve admits are kept.  pruning may also be a function that
-    derives the sieve data from the walked end points f^cap_m(alpha),
-    g^cap_n(beta), so none is walked twice.
+    f's orbit is indexed in a dict keyed by its points, or by their
+    walk_keys keys, and g's orbit is streamed against that index; with
+    pruning, only the joined pairs that the height sieve admits are kept.
+    pruning may also be a function that derives the sieve data from the
+    walked end points f^cap_m(alpha), g^cap_n(beta), so none is walked
+    twice.
     """
     if f.degree < 2 or g.degree < 2:
         raise ValueError("orbit intersection is for degrees >= 2")
     if f.ring != g.ring:
         raise RingMismatch("orbits live in different rings")
+    orbit_a, orbit_b, keyed = _orbits(f, alpha, g, beta)
     index = {}
-    for m, end_a in enumerate(islice(walk(f, alpha), cap_m + 1)):
+    for m, end_a in enumerate(islice(orbit_a, cap_m + 1)):
         index.setdefault(end_a, []).append(m)
     joined = []
-    for n, end_b in enumerate(islice(walk(g, beta), cap_n + 1)):
+    for n, end_b in enumerate(islice(orbit_b, cap_n + 1)):
         joined.extend((m, n) for m in index.get(end_b, ()))
     if callable(pruning):
+        if keyed:
+            end_a, end_b = point_of(end_a, f.spec), point_of(end_b, f.spec)
         pruning = pruning(end_a, end_b)
     pairs = sorted(pair for pair in joined if pruning is None
                    or pruning.admits(f.degree, g.degree, *pair))
@@ -75,8 +92,8 @@ def synchronized_collisions(f: DynPoly, alpha, g: DynPoly, beta,
     """All n <= cap_n with f^(r*n+a)(alpha) = g^(s*n+b)(beta)."""
     if r < 1 or s < 1 or a < 0 or b < 0:
         raise ValueError("need r, s >= 1 and a, b >= 0")
-    points = zip(islice(walk(f, alpha), a, None, r),
-                 islice(walk(g, beta), b, None, s))
+    orbit_a, orbit_b, _ = _orbits(f, alpha, g, beta)
+    points = zip(islice(orbit_a, a, None, r), islice(orbit_b, b, None, s))
     return [n for n, (x, y) in enumerate(islice(points, cap_n + 1))
             if x == y]
 
@@ -160,9 +177,37 @@ class PlaneCurve(Frozen):
 def curve_return_set(f: DynPoly, g: DynPoly, gamma: Tuple, curve: PlaneCurve,
                      cap_n: int) -> List[int]:
     """All n <= cap_n with F(f^n(gamma1), g^n(gamma2)) = 0."""
-    points = zip(walk(f, gamma[0]), walk(g, gamma[1]))
+    orbit_a, orbit_b, keyed = _orbits(f, gamma[0], g, gamma[1])
+    vanishes = keyed and _vanishes_on_keys(curve, f.ring)
+    if not vanishes:
+        orbit_a, orbit_b = walk(f, gamma[0]), walk(g, gamma[1])
+
+        def vanishes(v1, v2):
+            return not curve.evaluate(v1, v2)
+    points = zip(orbit_a, orbit_b)
     return [n for n, (v1, v2) in enumerate(islice(points, cap_n + 1))
-            if not curve.evaluate(v1, v2)]
+            if vanishes(v1, v2)]
+
+
+_LINEAR = ((1, 0), (0, 1), (0, 0))
+
+
+def _vanishes_on_keys(curve: PlaneCurve, ring) -> Optional[Callable]:
+    """For a curve a*x1 + b*x2 + c over the ring of two keyed orbits, with
+    a, b in F_p, c in F_p[t] and (p - 1)(a + b + 1) < 256, the test of two
+    walk_keys keys for a zero of it; None for every other curve."""
+    if curve.ring != ring or not set(curve.terms) <= set(_LINEAR):
+        return None
+    spec, zero = ring.spec, ring.zero()
+    a, b, c = (curve.terms.get(e, zero) for e in _LINEAR)
+    c, zero = key_of(c, spec), key_of(zero, spec)
+    if c is None or not (a.is_constant() and b.is_constant()):
+        return None
+    a, b = a.num.terms.get(0, 0), b.num.terms.get(0, 0)
+    if (spec.p - 1) * (a + b + 1) > 255:
+        return None
+    return lambda v1, v2: combine_keys(
+        ((a, a, v1), (b, b, v2), (1, 1, c)), spec.p) == zero
 
 
 class ReturnModel(Frozen):

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import fforbits
-from fforbits import cli, heights
+from fforbits import cli, dynpoly, heights
 from fforbits.cli import (EXIT_BUDGET, EXIT_CHECK_FAILED, EXIT_INVALID,
                           EXIT_OK, emit_report, main)
 from fforbits.dynpoly import Budget, DynPoly
@@ -60,23 +61,34 @@ def test_intersect_scenario_json(tmp_path, capsys):
 def test_intersect_walks_each_orbit_once(tmp_path, capsys, monkeypatch,
                                          prune):
     """The sieve's heights come from the orbits that the join walks, so a
-    pruned intersect evaluates f cap_m times and g cap_n times, as an
-    unpruned one does."""
-    real, calls = DynPoly.evaluate, []
+    pruned intersect takes cap_m steps of f's orbit and cap_n of g's, as an
+    unpruned one does.  Over GF(2) both orbits are walked in walk_keys'
+    coordinates; over GF(4) walk_keys declines them and walk evaluates each
+    point."""
+    steps = Counter()
+    real_evaluate, real_step = DynPoly.evaluate, dynpoly._key_step
 
     def evaluate(self, point):
-        calls.append(self)
-        return real(self, point)
+        steps["points"] += 1
+        return real_evaluate(self, point)
+
+    def key_step(key, shape):
+        steps["keys"] += 1
+        return real_step(key, shape)
 
     monkeypatch.setattr(DynPoly, "evaluate", evaluate)
-    sc = write(tmp_path, "quad.txt", QUADRATIC.replace(
-        "capM = 32; capN = 32", f"capM = 12; capN = 9; prune = {prune}"))
-    rc, out, err = run_cli(capsys, "--scenario", sc, "--format", "json")
-    assert rc == EXIT_OK, err
-    (run,) = json.loads(out)["runs"]
-    assert ("pruning" in run) == (prune == "on")
-    assert run["pairs"] == [[2 ** k, 2 ** k] for k in range(4)]
-    assert len(calls) == 12 + 9
+    monkeypatch.setattr(dynpoly, "_key_step", key_step)
+    for field, walker in (("GF(2)", "keys"), ("GF(4; mod=w^2+w+1)", "points")):
+        steps.clear()
+        sc = write(tmp_path, "quad.txt", QUADRATIC.replace(
+            "capM = 32; capN = 32", f"capM = 12; capN = 9; prune = {prune}")
+            .replace("GF(2)", field))
+        rc, out, err = run_cli(capsys, "--scenario", sc, "--format", "json")
+        assert rc == EXIT_OK, err
+        (run,) = json.loads(out)["runs"]
+        assert ("pruning" in run) == (prune == "on")
+        assert run["pairs"] == [[2 ** k, 2 ** k] for k in range(4)]
+        assert steps == {walker: 12 + 9}
 
 
 def test_version_matches_package_and_pyproject(tmp_path, capsys):
@@ -388,10 +400,12 @@ def test_exit_invalid_on_malformed_scenario(tmp_path, capsys):
     assert rc == EXIT_INVALID
 
 
-@pytest.mark.parametrize("mod", ["w^-1+w^2", "w^2+x+1", "w^2+2*3*w+1"])
+@pytest.mark.parametrize("mod", ["w^-1+w^2", "w^2+x+1", "w^2+2*3*w+1",
+                                 "w^2+w^+2", "w^^2+1"])
 def test_exit_invalid_on_bad_modulus_term(tmp_path, capsys, mod):
-    """A modulus term with a negative exponent or a number that is no int
-    is invalid input under the field key, not a different field."""
+    """A modulus term with a negative exponent, a number that is no int, or
+    a caret with no exponent or more than one caret is invalid input under
+    the field key, not a different field."""
     sc = write(tmp_path, "mod.txt",
                f"field = GF(9; mod={mod})\nf = x^2 + t; alpha = t\n"
                "task = heights\n")

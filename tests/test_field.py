@@ -50,7 +50,8 @@ def test_parse_extension_field():
 def test_parse_rejects_garbage():
     for bad in ("GF(6)", "GF(4)", "GF(2", "FF(2)", "", "GF(0)", "GF(-3)",
                 "GF(9; mod=w^-1+w^2)", "GF(9; mod=w^2+x+1)",
-                "GF(9; mod=w^2+2*3*w+1)"):
+                "GF(9; mod=w^2+2*3*w+1)", "GF(9; mod=w^2+w^+2)",
+                "GF(9; mod=w^^2+1)"):
         with pytest.raises(ParseError):
             FieldSpec.parse(bad)
 

@@ -5,11 +5,14 @@ returns, and the return-set model fitter.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from fforbits import dynpoly, orbits
 from fforbits.field import FieldSpec
 from fforbits.funcfield import ExtRing, FFPoly, RatFunc
 from fforbits.dynpoly import DynPoly, KRing, orbit_element
@@ -208,6 +211,134 @@ def test_curve_return_custom_curve():
     assert got == want
 
 
+# Keyed joins: walk_keys against walk
+
+def additive_poly(spec, max_exp=12):
+    """A polynomial of F_p[t], zero and constants included, with exponents
+    divisible by p among those drawn."""
+    return st.dictionaries(st.integers(0, max_exp),
+                           st.integers(1, spec.p - 1), max_size=3).map(
+        lambda d: RatFunc.from_poly(FFPoly.make(spec, d)))
+
+
+def additive_map(spec):
+    """sum_i l_i x^(p^i) + gamma with l_i in F_p, gamma in F_p[t], degree
+    at least p; several terms such as x^9 + 2x^3 + x, and gamma = 0."""
+    lin = st.dictionaries(st.integers(0, 2), st.integers(1, spec.p - 1),
+                          max_size=3).filter(lambda d: any(d))
+    return st.builds(
+        lambda lin, gamma: dyn(KRing(spec), {
+            **{spec.p ** i: c for i, c in lin.items()}, 0: gamma}),
+        lin, additive_poly(spec))
+
+
+def walked(join, *args):
+    """join(*args) with walk_keys declining every orbit, so that both
+    orbits go through walk."""
+    with mock.patch.object(orbits, "walk_keys", lambda f, start: None):
+        return join(*args)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_keyed_joins_match_walked_joins(data):
+    """Pairs, pruning end points, synchronized collisions and linear-curve
+    returns are the same whether the orbits are walked in walk_keys'
+    coordinates or point by point."""
+    spec = data.draw(st.sampled_from([FieldSpec(p) for p in (2, 3, 5, 7)]))
+    ring = KRing(spec)
+    f = data.draw(additive_map(spec))
+    g = data.draw(st.one_of(st.just(f), additive_map(spec)))
+    alpha = data.draw(st.one_of(additive_poly(spec),
+                                st.integers(0, spec.p - 1)))
+    beta = data.draw(st.one_of(
+        additive_poly(spec), st.integers(0, spec.p - 1),
+        st.integers(0, 3).map(lambda k: orbit_element(f, alpha, k))))
+    assert dynpoly.walk_keys(f, alpha) and dynpoly.walk_keys(g, beta)
+    cap_m, cap_n = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+
+    def intersect(f, alpha, g, beta):
+        ends = []
+
+        def sieve(end_a, end_b):
+            ends.append((end_a, end_b))
+            return derive_pruning(f, alpha, g, beta, cap_m, cap_n,
+                                  (end_a, end_b))
+        pruned = intersect_orbits(f, alpha, g, beta, cap_m, cap_n, sieve)
+        return intersect_orbits(f, alpha, g, beta, cap_m, cap_n), pruned, ends
+
+    assert intersect(f, alpha, g, beta) == walked(intersect, f, alpha, g,
+                                                  beta)
+    lattice = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                  st.integers(0, 3), st.integers(0, 3)))
+    args = (f, alpha, g, beta, *lattice, cap_n)
+    assert synchronized_collisions(*args) == walked(synchronized_collisions,
+                                                    *args)
+    a, b = data.draw(st.tuples(st.integers(0, spec.p - 1),
+                               st.integers(0, spec.p - 1)).filter(any))
+    c = data.draw(additive_poly(spec))
+    curve = PlaneCurve.make(ring, {(1, 0): RatFunc.constant(spec, a),
+                                   (0, 1): RatFunc.constant(spec, b),
+                                   (0, 0): c})
+    args = (f, g, (alpha, beta), curve, cap_n)
+    assert orbits._vanishes_on_keys(curve, ring)
+    assert curve_return_set(*args) == walked(curve_return_set, *args)
+
+
+def test_keyed_walk_moves_the_constant_term():
+    """x^3 + x over GF(3) doubles a point's constant term (l_0 + l_1 = 2),
+    so the pinned pairs (n + 1, n) need that action; over GF(2), x^2 + x
+    sends every constant term to 0 and shows nothing of it."""
+    f = dyn(K3, {3: 1, 1: 1})
+    alpha = RatFunc.t(GF3) + RatFunc.one(GF3)
+    beta = f.evaluate(alpha)
+    assert str(beta) == "t^3 + t + 2"
+    rs = intersect_orbits(f, alpha, f, beta, 6, 6)
+    assert rs.pairs == tuple((n + 1, n) for n in range(6))
+    keys = islice(dynpoly.walk_keys(f, alpha), 7)
+    assert [c0 for c0, _ in keys] == [1, 2, 1, 2, 1, 2, 1]
+
+
+def _additive_outside(case):
+    """An additive map and a start that walk_keys declines."""
+    t, one = RatFunc.t(GF2), RatFunc.one(GF2)
+    if case == "GF(9)":
+        gf9 = FieldSpec.parse("GF(9; mod=w^2+1)")
+        return dyn(KRing(gf9), {3: 1, 1: 1}), RatFunc.t(gf9)
+    if case == "K[y]/(M)":
+        ring = ExtRing(GF2, (t, one, one))
+        return dyn(K2, {2: 1, 1: 1}).lift_to(ring), ring.y()
+    if case == "rational gamma":
+        return dyn(K2, {2: 1, 1: 1, 0: t.inverse()}), t
+    if case == "rational start":
+        return dyn(K2, {2: 1, 1: 1}), t.inverse()
+    if case == "coefficient t":
+        return dyn(K2, {2: t, 1: 1}), t
+    # (p - 1)(l + 1) = 16 * 17 > 255 for 16 x^17 over GF(17)
+    gf17 = FieldSpec(17)
+    return dyn(KRing(gf17), {17: 16}), RatFunc.t(gf17)
+
+
+@pytest.mark.parametrize("case", ["GF(9)", "K[y]/(M)", "rational gamma",
+                                  "rational start", "coefficient t",
+                                  "slot bound"])
+def test_orbits_outside_the_keyed_kind_are_walked(monkeypatch, case):
+    f, alpha = _additive_outside(case)
+    assert dynpoly.walk_keys(f, alpha) is None
+    real_evaluate, counts = DynPoly.evaluate, Counter()
+
+    def evaluate(self, point):
+        counts[self] += 1
+        return real_evaluate(self, point)
+
+    monkeypatch.setattr(DynPoly, "evaluate", evaluate)
+    monkeypatch.setattr(dynpoly, "_key_step", None)
+    beta = f.evaluate(alpha)
+    rs = intersect_orbits(f, alpha, f, beta, 3, 3)
+    assert rs.pairs == ((1, 0), (2, 1), (3, 2))
+    assert counts == {f: 1 + 3 + 3}
+
+
 # Return-set models
 
 def test_model_members_ap():
@@ -327,18 +458,42 @@ def test_ap_implies_common_iterate_refuted_by_iterate():
     assert verdict == "refuted-iterate"
 
 
-# Lazy walks: each map is evaluated exactly as often as its last point needs
+# Lazy walks: each orbit takes exactly the steps its last point needs, on
+# walk (counted by DynPoly.evaluate, per map) and on walk_keys (counted by
+# the keyed step, per map shape)
+
+
+def keyed(f):
+    """The counter key of the steps of an orbit of f walked by walk_keys."""
+    return "keys", dynpoly._key_shape(f)
 
 
 def _synchronized(counts):
     f, alpha, g, beta = quadratic_pair()
     synchronized_collisions(f, alpha, g, beta, 2, 3, 1, 2, 5)
+    return {keyed(f): 1 + 2 * 5, keyed(g): 2 + 3 * 5}
+
+
+def _synchronized_points(counts):
+    """A start with a denominator has no keys, so both orbits are walked
+    point by point."""
+    f, alpha, g, beta = quadratic_pair()
+    synchronized_collisions(f, alpha.inverse(), g, beta, 2, 3, 1, 2, 5)
     return {f: 1 + 2 * 5, g: 2 + 3 * 5}
 
 
 def _curve_return(counts):
     f, alpha, g, beta = quadratic_pair()
     curve_return_set(f, g, (alpha, beta), PlaneCurve.diagonal(K2), 7)
+    return {keyed(f): 7, keyed(g): 7}
+
+
+def _curve_return_points(counts):
+    """A curve of degree 2 is evaluated at the points themselves."""
+    f, alpha, g, beta = quadratic_pair()
+    one = RatFunc.one(GF2)
+    curve = PlaneCurve.make(K2, {(2, 0): one, (0, 1): one})
+    curve_return_set(f, g, (alpha, beta), curve, 7)
     return {f: 7, g: 7}
 
 
@@ -367,16 +522,23 @@ def _check_2_5(counts):
     return {m: 4 for m in counts}
 
 
-@pytest.mark.parametrize("case", [_synchronized, _curve_return, _ap_confirmed,
-                                  _ap_refuted, _check_2_5],
+@pytest.mark.parametrize("case", [_synchronized, _synchronized_points,
+                                  _curve_return, _curve_return_points,
+                                  _ap_confirmed, _ap_refuted, _check_2_5],
                          ids=lambda case: case.__name__.lstrip("_"))
 def test_walks_evaluate_no_point_past_the_cap(monkeypatch, case):
-    real, counts = DynPoly.evaluate, Counter()
+    real_evaluate, real_step = DynPoly.evaluate, dynpoly._key_step
+    counts = Counter()
 
     def evaluate(self, point):
         counts[self] += 1
-        return real(self, point)
+        return real_evaluate(self, point)
+
+    def key_step(key, shape):
+        counts["keys", shape] += 1
+        return real_step(key, shape)
 
     monkeypatch.setattr(DynPoly, "evaluate", evaluate)
+    monkeypatch.setattr(dynpoly, "_key_step", key_step)
     want = case(counts)
     assert dict(counts) == want
