@@ -2,6 +2,8 @@
 
 A DynPoly is a sparse polynomial in x whose coefficients live either in
 K = GF(q)(t) (a KRing handle) or in an extension K[y]/(M) (an ExtRing).
+It shares its base, _Terms (ring, terms, zero, constant, sum, negation,
+ring check), with twisted.TwistedPoly.
 Exponents are arbitrary-precision, which matters: additive polynomials have
 only p-power exponents and their iterates reach x^(p^k) for large k while
 staying a handful of terms.  Every power, of a two-term base too, is one
@@ -20,7 +22,8 @@ expression of the file draws on it; an entry point called without one gets
 a fresh default Budget for that call.  Orbits are walked by walk, the one
 loop that evaluates a map point after point, or, for an affine-additive
 map over GF(p) with F_p coefficients and polynomial data, by walk_keys,
-which steps the point's Frobenius coordinates instead; neither is metered
+which steps the point's Frobenius coordinates instead (the orbit joins and
+the (x + f)^m(t) side of verify's check 15-16 use it); neither is metered
 yet.
 """
 
@@ -98,14 +101,56 @@ def _p_split(e: int, p: int) -> tuple:
     return e, k
 
 
-class DynPoly(Frozen):
-    """Sparse polynomial in x over K or an extension ring of K."""
+class _Terms:
+    """What DynPoly and TwistedPoly share: a ring handle and terms, a
+    sparse dict from exponent to nonzero coefficient, with their sum,
+    negation and ring check.  State-free; each subclass keeps its own
+    __slots__ = ("ring", "terms") and its Frozen fields."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
 
     def __init__(self, ring: Ring, terms: dict):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def zero(cls, ring: Ring):
+        return cls(ring, {})
+
+    @classmethod
+    def constant(cls, ring: Ring, c):
+        c = _scalar_in(ring, c)
+        return cls(ring, {0: c} if c else {})
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.ring.spec
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
+
+    def _check(self, other) -> None:
+        if self.ring != other.ring:
+            raise RingMismatch("polynomials over different rings")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.ring, sparse_add(self.terms, other.terms))
+
+    def __neg__(self):
+        return type(self)(self.ring, sparse_neg(self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class DynPoly(_Terms, Frozen):
+    """Sparse polynomial in x over K or an extension ring of K."""
+
+    __slots__ = ("ring", "terms")
 
     @classmethod
     def make(cls, ring: Ring, terms: dict) -> "DynPoly":
@@ -122,46 +167,13 @@ class DynPoly(Frozen):
     def x(cls, ring: Ring) -> "DynPoly":
         return cls(ring, {1: ring.one()})
 
-    @classmethod
-    def constant(cls, ring: Ring, c) -> "DynPoly":
-        c = _scalar_in(ring, c)
-        return cls(ring, {0: c} if c else {})
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "DynPoly":
-        return cls(ring, {})
-
     # -- structure ------------------------------------------------------
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.ring.spec
 
     @property
     def degree(self) -> int:
         return max(self.terms) if self.terms else -1
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def _check(self, other: "DynPoly") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch("polynomials over different rings")
-
     # -- plain ring operations -------------------------------------------
-
-    def __add__(self, other: "DynPoly") -> "DynPoly":
-        self._check(other)
-        return DynPoly(self.ring, sparse_add(self.terms, other.terms))
-
-    def __neg__(self) -> "DynPoly":
-        return DynPoly(self.ring, sparse_neg(self.terms))
-
-    def __sub__(self, other: "DynPoly") -> "DynPoly":
-        return self + (-other)
 
     def __mul__(self, other: "DynPoly") -> "DynPoly":
         self._check(other)

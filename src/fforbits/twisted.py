@@ -1,8 +1,8 @@
 """The twisted polynomial ring K{T} with the rule T*c = c^p * T.
 
 Elements are stored sparsely, as every polynomial of the package is: terms
-maps each T-degree to its nonzero coefficient, and sums, products and
-values go through field's shared kernels.  Multiplication follows
+maps each T-degree to its nonzero coefficient, and sums and products go
+through field's shared kernels.  Multiplication follows
 
     (sum a_i T^i) * (sum b_j T^j) = sum_i sum_j a_i * b_j^(p^i) * T^(i+j)
 
@@ -13,9 +13,9 @@ T-degree n corresponds to x-degree p^n; the default cap is 4096.
 
 A twisted polynomial is the same data as an additive polynomial in x
 (T^i standing for x^(p^i)); to_dynpoly / from_dynpoly convert between the
-two views.  Over K, at a polynomial point with polynomial coefficients,
-evaluation forms the value sum c_i * N^(p^i) as one sum of products
-(field.sparse_lincomb); at any other point it evaluates the DynPoly.
+two views, and its value at a point is the value of that map.  TwistedPoly
+and DynPoly share one base, dynpoly._Terms: construction, zero, constant,
+the sum, negation and ring check.
 """
 
 from __future__ import annotations
@@ -23,23 +23,19 @@ from __future__ import annotations
 import operator
 from typing import Optional, Union
 
-from .errors import NotAdditive, RingMismatch
-from .field import (FieldSpec, Frozen, format_terms, power, sparse_add,
-                    sparse_lincomb, sparse_mul, sparse_neg, sparse_terms)
-from .funcfield import ExtElem, ExtRing, FFPoly, KRing, RatFunc
+from .errors import NotAdditive
+from .field import (Frozen, format_terms, power, sparse_lincomb, sparse_mul,
+                    sparse_terms)
+from .funcfield import ExtElem, ExtRing, KRing
 
-from .dynpoly import Budget, DynPoly, is_additive, _scalar_in
+from .dynpoly import (Budget, DynPoly, is_additive, _p_split, _scalar_in,
+                      _Terms)
 
 Ring = Union[KRing, ExtRing]
-Scalar = Union[RatFunc, ExtElem]
 
 
-class TwistedPoly(Frozen):
+class TwistedPoly(_Terms, Frozen):
     __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: Ring, terms: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def make(cls, ring: Ring, coeffs) -> "TwistedPoly":
@@ -47,17 +43,8 @@ class TwistedPoly(Frozen):
         return cls(ring, sparse_terms(_scalar_in(ring, c) for c in coeffs))
 
     @classmethod
-    def zero(cls, ring: Ring) -> "TwistedPoly":
-        return cls(ring, {})
-
-    @classmethod
     def one(cls, ring: Ring) -> "TwistedPoly":
         return cls(ring, {0: ring.one()})
-
-    @classmethod
-    def constant(cls, ring: Ring, c) -> "TwistedPoly":
-        c = _scalar_in(ring, c)
-        return cls(ring, {0: c} if c else {})
 
     @classmethod
     def tau(cls, ring: Ring, k: int = 1) -> "TwistedPoly":
@@ -67,32 +54,8 @@ class TwistedPoly(Frozen):
         return cls(ring, {k: ring.one()})
 
     @property
-    def spec(self) -> FieldSpec:
-        return self.ring.spec
-
-    @property
     def tau_degree(self) -> int:
         return max(self.terms, default=-1)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def _check(self, other: "TwistedPoly") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch("twisted polynomials over different rings")
-
-    def __add__(self, other: "TwistedPoly") -> "TwistedPoly":
-        self._check(other)
-        return TwistedPoly(self.ring, sparse_add(self.terms, other.terms))
-
-    def __neg__(self) -> "TwistedPoly":
-        return TwistedPoly(self.ring, sparse_neg(self.terms))
-
-    def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
-        return self + (-other)
 
     def __mul__(self, other: "TwistedPoly") -> "TwistedPoly":
         self._check(other)
@@ -113,30 +76,7 @@ class TwistedPoly(Frozen):
         return all(c.in_prime_field() for c in self.terms.values())
 
     def evaluate(self, point):
-        """Value of the additive polynomial this encodes.  Over K, at a
-        polynomial point with polynomial coefficients, one sum of products;
-        at any other point, to_dynpoly().evaluate."""
-        ring = self.ring
-        if isinstance(ring, KRing) and not isinstance(point, ExtElem):
-            point = _scalar_in(ring, point)
-            if point.is_poly():
-                # row i pairs c_i with N^(p^i); q = p^i runs across the rows
-                spec, terms, q, last = ring.spec, point.num.terms, 1, 0
-                pairs = []
-                for i in sorted(self.terms):
-                    c = self.terms[i]
-                    if not c.is_poly():
-                        break
-                    q, last = q * spec.p ** (i - last), i
-                    pairs.append((c.num.terms, {e * q: a if spec.int_p
-                                                else a.frobenius(i)
-                                                for e, a in terms.items()}))
-                else:
-                    return RatFunc.from_poly(FFPoly(spec, sparse_lincomb(
-                        pairs, spec.int_p)))
-        # a point with a denominator D does not take the one sum: over the
-        # common denominator D^(p^d) term i would need D^(p^d - p^i), a
-        # dense product of d - i Frobenius images
+        """Value of the additive polynomial this encodes."""
         return self.to_dynpoly().evaluate(point)
 
     def to_dynpoly(self) -> DynPoly:
@@ -145,17 +85,10 @@ class TwistedPoly(Frozen):
 
     @classmethod
     def from_dynpoly(cls, f: DynPoly) -> "TwistedPoly":
-        p = f.spec.p
         if not is_additive(f):
             raise NotAdditive(f"{f} has a non-p-power term")
-        rows = {}
-        for e, c in f.terms.items():
-            i = 0
-            while e > 1:
-                e //= p
-                i += 1
-            rows[i] = c
-        return cls(f.ring, rows)
+        p = f.spec.p
+        return cls(f.ring, {_p_split(e, p)[1]: c for e, c in f.terms.items()})
 
     def __str__(self) -> str:
         return format_terms(self.terms, "T", descending=False)

@@ -20,7 +20,8 @@ from .errors import ValidationError
 from .field import FieldSpec, Frozen, binom_mod, pack_slots, unpack_slots
 from .funcfield import ExtRing, FFPoly, KRing, RatFunc
 from .dynpoly import (DynPoly, conjugate, is_additive, orbit_element,
-                      orbit_prefix, solve_affine_conjugacy, walk)
+                      orbit_prefix, point_of, solve_affine_conjugacy, walk,
+                      walk_keys)
 from .twisted import TwistedPoly, twisted_pow
 
 
@@ -208,24 +209,33 @@ def check_15_16(params: dict) -> str:
         t = RatFunc.t(spec)
         mmax = min(params.get("nmax", p ** 3), p ** 3)
         for f in _witnesses_15_16(spec):
-            ft = f.evaluate(t)
-            g = f + DynPoly.x(ring) + DynPoly.constant(ring, ft)
+            xf = f + DynPoly.x(ring)
+            g = xf + DynPoly.constant(ring, f.evaluate(t))
             # three sides, none built from another, so that a fault in one
             # kernel cannot cancel against itself: the pointwise walk of g
             # from 0 (sparse adds and Frobenius, no packing); the f-orbit of
             # t (in F_p[t], as f is monic additive) mixed by C(m, i) mod p
-            # through packed ints; and (x + f)^m evaluated at t, shifted
-            # back, with each power taken afresh by twisted_pow
+            # through packed ints; and (x + f)^m(t) - t, the orbit of t
+            # under x + f stepped in Frobenius coordinates by walk_keys
+            # (combine_keys), or, where its slot rule fails (from p = 53
+            # on), each (x + f)^m taken afresh by twisted_pow and evaluated
             gpts = orbit_prefix(g, ring.from_int(0), mmax)
             fpts = orbit_prefix(f, t, mmax)
             assert all(pt.is_poly() for pt in fpts), "f-orbit of t left F_p[t]"
             sums = _binomial_sums(spec, fpts)
-            a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
-            for m in range(1, mmax + 1):
+            keys = walk_keys(xf, t)
+            if keys is None:
+                a1 = TwistedPoly.from_dynpoly(xf)
+                xfpts = (twisted_pow(a1, m).evaluate(t)
+                         for m in range(1, mmax + 1))
+            else:
+                xfpts = (point_of(key, spec)
+                         for key in islice(keys, 1, mmax + 1))
+            for m, xfpt in enumerate(xfpts, 1):
                 if gpts[m] != sums[m]:
                     raise _Broken(f"p={p}, f={f}: binomial sum at m={m}",
                                   gpts[m], sums[m])
-                tw = twisted_pow(a1, m).evaluate(t) - t
+                tw = xfpt - t
                 if tw != gpts[m]:
                     raise _Broken(f"p={p}, f={f}: twisted power at m={m}",
                                   tw, gpts[m])

@@ -6,6 +6,7 @@ twisted product into composition of additive maps; most tests lean on
 that translation as the oracle.
 """
 import operator
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ import hypothesis.strategies as st
 
 from fforbits.field import FieldSpec, power
 from fforbits.funcfield import ExtElem, ExtRing, FFPoly, RatFunc
-from fforbits.dynpoly import Budget, DynPoly, KRing, is_additive
+from fforbits.dynpoly import (Budget, DynPoly, KRing, is_additive,
+                              point_of, walk_keys)
 from fforbits.twisted import TwistedPoly, _prime_field_pow, twisted_pow
 from fforbits.verify import _witnesses_15_16
 from fforbits.errors import NotAdditive, RingMismatch, TauDegreeBudgetExceeded
@@ -101,8 +103,8 @@ def test_tau_degree_of_product():
 @pytest.mark.parametrize("spec", [GF3, GF9], ids=str)
 def test_product_and_value_do_not_depend_on_insertion_order(spec):
     """T^2 + t comes out of sparse_add with its top term first: the product
-    and the one-sum value must still take the rows by ascending T-degree,
-    and the value must print as the DynPoly's does."""
+    must still take the rows by ascending T-degree, and the value must
+    print as the DynPoly's does."""
     ring = KRing(spec)
     t, one = RatFunc.t(spec), RatFunc.one(spec)
     w = RatFunc.constant(spec, spec.gen() if spec.r > 1 else 2)
@@ -195,8 +197,8 @@ def k_value(draw, spec, rational=False, max_deg=3):
 @st.composite
 def evaluation_cases(draw):
     """(a, point, vanishes): polynomial points with polynomial
-    coefficients (one sum), points and coefficients with denominators and
-    ExtElem points (to_dynpoly().evaluate), and coefficient pairs
+    coefficients, points and coefficients with denominators, ExtElem
+    points (lifting the map to the point's ring), and coefficient pairs
     c_i = -c_j * N^(p^j - p^i) whose terms cancel to 0 at the point N."""
     spec = draw(st.sampled_from([GF2, GF3, GF5, GF9]))
     ring = KRing(spec)
@@ -237,26 +239,33 @@ def polynomial_points(spec, c):
 
 @pytest.mark.parametrize("spec", [GF2, GF3, GF5], ids=str)
 def test_evaluate_witness_powers_with_zero_runs(spec):
-    """The one sum on the tuples of check 15-16: (x + f)^m for its two
-    witnesses f and m <= p^2 has up to 3p^2 + 1 coefficients, with runs of
-    zeros between the nonzero ones."""
+    """The powers of check 15-16: (x + f)^m for its two witnesses f and
+    m <= p^2 has up to 3p^2 + 1 coefficients, with runs of zeros between
+    the nonzero ones.  Each value against the running sum, and against
+    the m-th point of the point's orbit under x + f as walk_keys steps it
+    in packed F_p[T], a kernel that shares nothing with twisted_pow."""
     ring = KRing(spec)
+    points = polynomial_points(spec, ring.from_int(-1))
     gaps = 0
     for f in _witnesses_15_16(spec):
         a1 = TwistedPoly.from_dynpoly(f + DynPoly.x(ring))
+        orbits = [list(islice(walk_keys(a1.to_dynpoly(), point),
+                              spec.p ** 2 + 1)) for point in points]
         for m in range(1, spec.p ** 2 + 1):
             a = twisted_pow(a1, m)
             gaps += len(a.terms) <= a.tau_degree
-            for point in polynomial_points(spec, ring.from_int(-1)):
-                assert a.evaluate(point) == running_sum(a, point)
+            for point, keys in zip(points, orbits):
+                value = a.evaluate(point)
+                assert value == running_sum(a, point)
+                assert value == point_of(keys[m], spec)
     assert gaps
 
 
 @pytest.mark.parametrize("nonzero", [(0, 3), (1, 5, 6), (2, 7)],
                          ids=lambda idx: "-".join(map(str, idx)))
 def test_evaluate_gf9_tuples_with_zero_runs(nonzero):
-    """Over GF(9) each nonzero coefficient pairs with the p^i-th power of
-    the point, whose coefficients are the i-fold Frobenius images."""
+    """Over GF(9) each nonzero coefficient meets the p^i-th power of the
+    point, whose coefficients are the i-fold Frobenius images."""
     ring = KRing(GF9)
     w, t = RatFunc.constant(GF9, GF9.gen()), RatFunc.t(GF9)
     coeffs = [ring.zero()] * (nonzero[-1] + 1)
@@ -272,9 +281,9 @@ def test_evaluate_gf9_tuples_with_zero_runs(nonzero):
 @pytest.mark.parametrize("rows", [(2,), (1, 4), (3, 5, 9), (2, 3, 7)],
                          ids=lambda idx: "-".join(map(str, idx)))
 def test_evaluate_runs_p_power_across_gaps(spec, rows):
-    """The one sum carries p^i from one nonzero row to the next: rows that
-    start above 0 and skip more than one index, multi-term polynomial
-    coefficients and points."""
+    """Each nonzero row i meets the p^i-th power of the point, whatever
+    rows lie between: rows that start above 0 and skip more than one
+    index, multi-term polynomial coefficients and points."""
     ring = KRing(spec)
     c = RatFunc.constant(spec, spec.gen() if spec.r > 1 else spec.one())
     t, one = RatFunc.t(spec), RatFunc.one(spec)

@@ -5,14 +5,15 @@ is asserted by the check itself; here we make sure the harness around
 them behaves.
 """
 import math
-from itertools import repeat
+from itertools import count, repeat
 
 import pytest
 
 from fforbits import verify
-from fforbits.dynpoly import orbit_prefix
+from fforbits.dynpoly import DynPoly, orbit_prefix, walk_keys
 from fforbits.field import FieldSpec
 from fforbits.funcfield import FFPoly, KRing, RatFunc
+from fforbits.twisted import TwistedPoly
 from fforbits.verify import (CHECKS, SUITE_ORDER, _binomial_sums,
                              _witnesses_15_16, run_example, verify_all)
 from fforbits.errors import ValidationError
@@ -133,6 +134,54 @@ def test_check_15_16_fails_on_a_wrong_orbit_point(monkeypatch):
     assert res.status == "FAIL"
     assert res.detail.startswith("p=3, f=")
     assert ": binomial sum at m=5: " in res.detail
+
+
+def test_check_15_16_fails_on_a_wrong_keyed_power(monkeypatch):
+    """One wrong point of the keyed orbit of t under x + f, at m = p,
+    makes the third side disagree with the walk of g."""
+    real, calls = verify.point_of, count(1)
+
+    def point_of(key, spec):
+        out = real(key, spec)
+        return out + RatFunc.one(spec) if next(calls) == spec.p else out
+
+    monkeypatch.setattr(verify, "point_of", point_of)
+    res = run_example("15-16", {"p": 3})
+    assert res.status == "FAIL"
+    assert res.detail.startswith("p=3, f=")
+    assert ": twisted power at m=3: " in res.detail
+
+
+def test_check_15_16_fails_on_a_wrong_fallback_power(monkeypatch):
+    """Past the slot rule of walk_keys the third side is twisted_pow: one
+    wrong power at m = p makes it disagree.  At p = 53 only the second
+    witness falls back, so the failure names it."""
+    real = verify.twisted_pow
+
+    def twisted_pow(a, n, budget=None):
+        out = real(a, n, budget)
+        return out + TwistedPoly.one(a.ring) if n == 53 else out
+
+    monkeypatch.setattr(verify, "twisted_pow", twisted_pow)
+    res = run_example("15-16", {"p": 53, "nmax": 53})
+    assert res.status == "FAIL"
+    assert res.detail.startswith("p=53, f=x^148877 + x^2809 + x")
+    assert ": twisted power at m=53: " in res.detail
+
+
+@pytest.mark.parametrize("p,keyed", [(53, [True, False]),
+                                     (67, [False, False])],
+                         ids=["GF53", "GF67"])
+def test_check_15_16_passes_beyond_the_slot_rule(p, keyed):
+    """walk_keys declines x + f once (p - 1)(sum_i l_i + 1) > 255: from
+    p = 53 for x^(p^3) + x^(p^2) + 2x and from p = 67 for x^p + 2x.  The
+    check then takes (x + f)^m(t) from twisted_pow, and still passes."""
+    spec = FieldSpec(p)
+    ring, t = KRing(spec), RatFunc.t(spec)
+    assert [walk_keys(f + DynPoly.x(ring), t) is not None
+            for f in _witnesses_15_16(spec)] == keyed
+    res = run_example("15-16", {"p": p, "nmax": 3})
+    assert res.status == "PASS", res.detail
 
 
 def test_single_prime_subset_still_passes():
